@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -120,28 +121,52 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// TestLitmusRetentionGC is the leak regression test for litmus
-// campaigns: before the sweep covered them, finished campaigns (and
-// their per-shard outputs) lived forever in a server with -retain set.
-// A finished campaign must be removed once retention lapses, and the
-// removal must be visible on wmm_litmus_runs_swept_total.
+// TestLitmusRetentionGC is the leak regression test for async jobs:
+// before the sweep covered them, finished litmus campaigns (and their
+// per-shard outputs) lived forever in a server with -retain set.  For
+// every async-job kind, a finished job must be removed once retention
+// lapses, and the removal must be visible on the kind's swept counter
+// (wmm_litmus_runs_swept_total, wmm_optimize_runs_swept_total).
 func TestLitmusRetentionGC(t *testing.T) {
-	ts, api, _ := newTestServerOpts(t, ServerOptions{
-		Parallel: 2, Retain: 50 * time.Millisecond, SweepEvery: time.Hour,
-	})
-	cl := testClient(ts)
-	sub := submitLitmus(t, ts, litmusSpecJSON)
-	waitLitmus(t, ts, sub.ID)
+	for _, tc := range []struct {
+		kind   *jobKind
+		submit func(t *testing.T, ts *httptest.Server) string
+		status func(cl *client.Client, id string) error
+	}{
+		{litmusKind, func(t *testing.T, ts *httptest.Server) string {
+			sub := submitLitmus(t, ts, litmusSpecJSON)
+			waitLitmus(t, ts, sub.ID)
+			return sub.ID
+		}, func(cl *client.Client, id string) error {
+			_, err := cl.Litmus(context.Background(), id, false)
+			return err
+		}},
+		{optimizeKind, func(t *testing.T, ts *httptest.Server) string {
+			sub := submitOptimize(t, ts, optSpecJSON)
+			waitOptimize(t, ts, sub.ID)
+			return sub.ID
+		}, func(cl *client.Client, id string) error {
+			_, err := cl.Optimize(context.Background(), id)
+			return err
+		}},
+	} {
+		t.Run(tc.kind.name, func(t *testing.T) {
+			ts, api, _ := newTestServerOpts(t, ServerOptions{
+				Parallel: 2, Retain: 50 * time.Millisecond, SweepEvery: time.Hour,
+			})
+			id := tc.submit(t, ts)
 
-	// Drive the sweep directly at a time far past retention, so the test
-	// does not depend on the background ticker.
-	time.Sleep(60 * time.Millisecond)
-	api.gc(time.Now().Add(time.Hour))
+			// Drive the sweep directly at a time far past retention, so the
+			// test does not depend on the background ticker.
+			time.Sleep(60 * time.Millisecond)
+			api.gc(time.Now().Add(time.Hour))
 
-	if _, err := cl.Litmus(context.Background(), sub.ID, false); !client.IsNotFound(err) {
-		t.Fatalf("finished campaign still present after retention lapsed: %v", err)
-	}
-	if swept := api.met.litmusSwept.Value(); swept < 1 {
-		t.Errorf("wmm_litmus_runs_swept_total = %v, want >= 1", swept)
+			if err := tc.status(testClient(ts), id); !client.IsNotFound(err) {
+				t.Fatalf("finished %s still present after retention lapsed: %v", tc.kind.noun, err)
+			}
+			if swept := api.met.jobs[tc.kind.name].swept.Value(); swept != 1 {
+				t.Errorf("%s swept counter = %v, want 1", tc.kind.name, swept)
+			}
+		})
 	}
 }

@@ -28,9 +28,11 @@ var ErrTenantSaturated = errors.New("tenant queue quota exceeded")
 // keeps their behaviour identical to the single-queue era.
 const DefaultTenant = "default"
 
-// DispatchOptions configures the sharded execution backend: a queue of
-// experiment jobs served by local executor slots and by remote
-// wmmworker processes leasing batches over HTTP.
+// DispatchOptions configures the sharded execution backend every server
+// runs its jobs through: a queue of experiment, litmus-shard and
+// optimizer-cell jobs served by local executor slots and by remote
+// wmmworker processes leasing batches over HTTP.  The zero value means
+// the defaults.
 type DispatchOptions struct {
 	// LocalSlots is the number of local executor goroutines pulling from
 	// the shared queue.  0 means the server's default experiment
@@ -65,11 +67,12 @@ type DispatchOptions struct {
 	// handed to a worker under a lease).  The server uses it to write
 	// assignment records to the run store.
 	OnAssign func(runID, experiment, worker string)
-	// Cache, when non-nil, is consulted before every experiment job is
-	// enqueued: an identical job (by content hash — see ResultKey) that
-	// already completed is served from the cache, and identical jobs in
-	// flight are merged single-flight so overlapping runs execute each
-	// distinct job once.  Litmus shard jobs are not cached.
+	// Cache, when non-nil, is consulted before every job that carries a
+	// cache key is enqueued — experiment jobs (ResultKey) and optimizer
+	// cells (OptimizeCellKey): an identical job that already completed
+	// is served from the cache, and identical jobs in flight are merged
+	// single-flight so overlapping runs execute each distinct job once.
+	// Litmus shard jobs carry no key and are not cached.
 	Cache *resultcache.Cache
 }
 
@@ -102,26 +105,71 @@ func (o DispatchOptions) withDefaults(defaultSlots int) DispatchOptions {
 	return o
 }
 
-// dispatchJob is one experiment job flowing through the shared queue.
-// Its lifecycle is enqueue → (local pickup | lease) → finish, with
-// lease expiry pushing it back to enqueue.  All mutable fields are
-// guarded by the dispatcher's mutex; finish-exactly-once is enforced by
-// the done flag, so a late result upload for a job that was already
-// re-executed (or cancelled) is dropped instead of delivered twice.
+// Job is one self-contained unit of dispatched work: a name, an
+// optional result-cache key and exactly one payload.  Everything a job
+// needs travels with it, so it executes byte-identically (wall time
+// aside) in whichever process picks it up.
+type Job struct {
+	// Name identifies the job within its run — on the queue, in lease
+	// grants and uploads, and as its Result's Experiment: the experiment,
+	// shard or cell name.
+	Name string
+	// CacheKey is the job's content hash (ResultKey, OptimizeCellKey);
+	// "" bypasses the result cache.
+	CacheKey string
+	// Payload is what runs: an ExperimentJob, a LitmusShard or an
+	// OptimizeCell.
+	Payload Payload
+}
+
+// Payload is the work a Job carries.  The set is closed; RunJob is the
+// one place that maps each kind to its executor.
+type Payload interface{ payload() }
+
+// ExperimentJob runs the experiment its Job names.  Only Samples, Seed,
+// Short and Adaptive reach the experiment; the run-level fields are
+// unused.
+type ExperimentJob RunOptions
+
+// OptimizeCell runs one fence-strategy optimizer cell.
+type OptimizeCell optimize.Cell
+
+func (ExperimentJob) payload() {}
+func (LitmusShard) payload()   {}
+func (OptimizeCell) payload()  {}
+
+// RunJob executes one job in this process, on eng for experiment jobs.
+// The dispatcher's local slots and remote workers both run jobs through
+// it, so a job's Result does not depend on where it ran.  The error
+// return is reserved for protocol-level mismatches (unknown experiment,
+// malformed shard or cell); execution failures are contained in the
+// Result.
+func RunJob(ctx context.Context, eng *Engine, j Job) (*Result, error) {
+	switch p := j.Payload.(type) {
+	case ExperimentJob:
+		return eng.RunExperiment(ctx, j.Name, RunOptions(p))
+	case LitmusShard:
+		return RunLitmusShard(ctx, p)
+	case OptimizeCell:
+		return runOptimizeCell(ctx, optimize.Cell(p))
+	default:
+		return nil, fmt.Errorf("job %s: unknown payload %T", j.Name, j.Payload)
+	}
+}
+
+// dispatchJob is one job flowing through the shared queue.  Its
+// lifecycle is enqueue → (local pickup | lease) → finish, with lease
+// expiry pushing it back to enqueue.  All mutable fields are guarded by
+// the dispatcher's mutex; finish-exactly-once is enforced by the done
+// flag, so a late result upload for a job that was already re-executed
+// (or cancelled) is dropped instead of delivered twice.
 type dispatchJob struct {
+	Job
 	runID  string
 	tenant string
-	name   string
-	opts   RunOptions
-	// litmus, when non-nil, makes this a litmus-shard job instead of an
-	// experiment job; name then carries the shard name.
-	litmus *LitmusShard
-	// optimize, when non-nil, makes this an optimizer-cell job; name
-	// then carries the cell name.
-	optimize *optimize.Cell
-	ctx      context.Context
+	ctx    context.Context
 
-	started func(name string) // ExperimentStarted relay; fired once
+	sink    Sink              // progress observer; ExperimentStarted fires once
 	deliver func(res *Result) // resolves the run's waiter; called once
 
 	done         bool
@@ -129,11 +177,9 @@ type dispatchJob struct {
 	semHeld      bool // holds one of its run's parallel slots
 	sem          chan struct{}
 
-	// cacheKey is the job's content hash ("" = the run bypassed the cache
-	// or no cache is configured).  cacheLead marks the job as its key's
-	// single-flight leader: its finish must settle the key (Fulfill on
-	// success, Abandon otherwise) because followers are parked on it.
-	cacheKey  string
+	// cacheLead marks the job as its CacheKey's single-flight leader: its
+	// finish must settle the key (Fulfill on success, Abandon otherwise)
+	// because followers are parked on it.
 	cacheLead bool
 }
 
@@ -187,10 +233,10 @@ type tenantQueue struct {
 	admitted int // jobs admitted for this tenant, not yet finished
 }
 
-// Dispatcher shards runs' experiment jobs across local executor slots
-// and remote workers leasing batches over HTTP.  Because every job is
-// fully determined by (experiment, seed, samples, short) — positional
-// seed derivation all the way down — it does not matter which process
+// Dispatcher shards jobs across local executor slots and remote workers
+// leasing batches over HTTP.  Because every job is fully determined by
+// its payload — positional seed derivation all the way down — it does
+// not matter which process
 // executes a job, how often it is re-executed after a lost lease, or in
 // what order jobs complete: the assembled run is byte-identical to a
 // purely local one.
@@ -333,190 +379,43 @@ func (d *Dispatcher) admitForce(tenant string, n int) {
 	d.mu.Unlock()
 }
 
-// Run shards the named experiments across the queue and assembles their
-// results in request order, with the same error semantics as
-// Engine.Run: the first failure in request order is returned alongside
-// the full result set.  reserved is how many jobs the caller already
-// admitted via TryAdmit (0 for resumed runs, which bypass admission).
-// tenant names the fair-share queue the jobs join ("" = "default").
-func (d *Dispatcher) Run(ctx context.Context, runID, tenant string, names []string, o RunOptions, sink Sink, reserved int) ([]*Result, error) {
+// Run shards a run's jobs across the queue and returns their results in
+// job order.  Failures stay contained in their Results; the first one in
+// job order is also returned as the error.  At most parallel of the
+// jobs are in flight across the whole fleet at once.  reserved is how
+// many jobs the caller already admitted via TryAdmit (0 for resumed runs
+// and later waves, which bypass admission).  tenant names the fair-share
+// queue the jobs join ("" = "default").
+func (d *Dispatcher) Run(ctx context.Context, runID, tenant string, jobs []Job, parallel int, sink Sink, reserved int) ([]*Result, error) {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
-	var exps []experiments.Experiment
-	if len(names) == 0 {
-		exps = experiments.All()
-	} else {
-		for _, name := range names {
-			ex, err := experiments.ByName(name)
-			if err != nil {
-				d.admitForce(tenant, -reserved)
-				return nil, err
-			}
-			exps = append(exps, ex)
-		}
+	if parallel > len(jobs) {
+		parallel = len(jobs)
 	}
-
-	parallel := o.Parallel
 	if parallel <= 0 {
 		parallel = 1
-	}
-	if parallel > len(exps) {
-		parallel = len(exps)
 	}
 	sem := make(chan struct{}, parallel)
 
 	// Build every job up front so the cancellation watcher sees the full
 	// set even while the enqueue loop is still throttling.
-	results := make([]*Result, len(exps))
+	results := make([]*Result, len(jobs))
 	var wg sync.WaitGroup
-	var jobs []*dispatchJob
-	for i, ex := range exps {
-		if prev, ok := o.Completed[ex.Name]; ok && prev != nil {
-			// Restored from a checkpoint: no execution, no sink events.
-			results[i] = prev
-			continue
-		}
-		i := i
-		wg.Add(1)
-		j := &dispatchJob{
-			runID:  runID,
-			tenant: tenant,
-			name:   ex.Name,
-			opts:   RunOptions{Samples: o.Samples, Seed: o.Seed, Short: o.Short, Adaptive: o.Adaptive},
-			ctx:    ctx,
-			sem:    sem,
-		}
-		if d.opt.Cache != nil && !o.NoCache {
-			j.cacheKey = ResultKey(ex.Name, j.opts)
-		}
-		j.started = func(name string) {
-			if sink != nil {
-				sink.ExperimentStarted(name)
-			}
-		}
-		j.deliver = func(res *Result) {
-			results[i] = res
-			if sink != nil {
-				sink.ExperimentDone(res)
-			}
-			wg.Done()
-		}
-		jobs = append(jobs, j)
+	wg.Add(len(jobs))
+	queued := make([]*dispatchJob, len(jobs))
+	for i, job := range jobs {
+		queued[i] = &dispatchJob{Job: job, runID: runID, tenant: tenant, ctx: ctx, sem: sem, sink: sink,
+			deliver: func(res *Result) {
+				results[i] = res
+				if sink != nil {
+					sink.ExperimentDone(res)
+				}
+				wg.Done()
+			}}
 	}
 
-	return d.drive(ctx, tenant, jobs, sem, &wg, results, reserved)
-}
-
-// RunLitmus shards a litmus campaign across the queue, exactly as Run
-// shards experiments: shard jobs mix with experiment jobs on the same
-// queue, under the same leases, with the same finish-once and requeue
-// semantics.  Results come back in shard order.
-func (d *Dispatcher) RunLitmus(ctx context.Context, runID, tenant string, shards []LitmusShard, parallel int, sink Sink, reserved int) ([]*Result, error) {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	if parallel <= 0 {
-		parallel = 1
-	}
-	if parallel > len(shards) {
-		parallel = len(shards)
-	}
-	sem := make(chan struct{}, parallel)
-
-	results := make([]*Result, len(shards))
-	var wg sync.WaitGroup
-	var jobs []*dispatchJob
-	for i, sh := range shards {
-		sh := sh
-		wg.Add(1)
-		j := &dispatchJob{
-			runID:  runID,
-			tenant: tenant,
-			name:   sh.name(),
-			litmus: &sh,
-			ctx:    ctx,
-			sem:    sem,
-		}
-		j.started = func(name string) {
-			if sink != nil {
-				sink.ExperimentStarted(name)
-			}
-		}
-		i := i
-		j.deliver = func(res *Result) {
-			results[i] = res
-			if sink != nil {
-				sink.ExperimentDone(res)
-			}
-			wg.Done()
-		}
-		jobs = append(jobs, j)
-	}
-	return d.drive(ctx, tenant, jobs, sem, &wg, results, reserved)
-}
-
-// RunOptimizeCells fans one wave of optimizer cells across the queue,
-// exactly as RunLitmus fans shards — same leases, same finish-once and
-// requeue semantics, results in cell order.  Unlike litmus shards,
-// cells are content-addressed: identical cells (same engine version,
-// cell identity and normalised spec) resolve from the result cache, so
-// a resubmitted job re-measures nothing.
-func (d *Dispatcher) RunOptimizeCells(ctx context.Context, runID, tenant string, cells []optimize.Cell, parallel int, noCache bool, sink Sink, reserved int) ([]*Result, error) {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	if parallel <= 0 {
-		parallel = 1
-	}
-	if parallel > len(cells) {
-		parallel = len(cells)
-	}
-	sem := make(chan struct{}, parallel)
-
-	results := make([]*Result, len(cells))
-	var wg sync.WaitGroup
-	var jobs []*dispatchJob
-	for i, cell := range cells {
-		cell := cell
-		wg.Add(1)
-		j := &dispatchJob{
-			runID:    runID,
-			tenant:   tenant,
-			name:     cell.Name(),
-			optimize: &cell,
-			ctx:      ctx,
-			sem:      sem,
-		}
-		if d.opt.Cache != nil && !noCache {
-			if key, err := OptimizeCellKey(cell); err == nil {
-				j.cacheKey = key
-			}
-		}
-		j.started = func(name string) {
-			if sink != nil {
-				sink.ExperimentStarted(name)
-			}
-		}
-		i := i
-		j.deliver = func(res *Result) {
-			results[i] = res
-			if sink != nil {
-				sink.ExperimentDone(res)
-			}
-			wg.Done()
-		}
-		jobs = append(jobs, j)
-	}
-	return d.drive(ctx, tenant, jobs, sem, &wg, results, reserved)
-}
-
-// drive is the shared dispatch tail: reconcile the admission
-// reservation, arm the cancellation watcher, enqueue under the run's
-// parallelism budget, and assemble the first failure in request order.
-func (d *Dispatcher) drive(ctx context.Context, tenant string, jobs []*dispatchJob, sem chan struct{}, wg *sync.WaitGroup, results []*Result, reserved int) ([]*Result, error) {
-	// Reconcile the caller's reservation with the jobs actually created
-	// (a resumed run reserves nothing; restored experiments need no slot).
+	// Reconcile the caller's reservation with the jobs actually created.
 	d.admitForce(tenant, len(jobs)-reserved)
 
 	// The watcher resolves every unfinished job the moment the run's
@@ -524,18 +423,15 @@ func (d *Dispatcher) drive(ctx context.Context, tenant string, jobs []*dispatchJ
 	// off (a late upload is dropped by the done guard), and locally
 	// executing jobs are aborted by the context itself — their eventual
 	// finish is then a no-op.
-	watcherDone := make(chan struct{})
 	go func() {
-		defer close(watcherDone)
 		<-ctx.Done()
-		d.cancelJobs(jobs, ctx.Err())
+		d.cancelJobs(queued, ctx.Err())
 	}()
 
-	// Enqueue under the run's parallelism budget: at most `parallel`
-	// jobs of this run are in flight across the whole fleet at once.
-	// Cache-resolved jobs (hits and single-flight followers) consume no
-	// slot — only jobs that will actually execute are throttled.
-	for _, j := range jobs {
+	// Enqueue under the run's parallelism budget.  Cache-resolved jobs
+	// (hits and single-flight followers) consume no slot — only jobs that
+	// will actually execute are throttled.
+	for _, j := range queued {
 		if d.consultCache(j) {
 			continue
 		}
@@ -570,15 +466,15 @@ func (d *Dispatcher) drive(ctx context.Context, tenant string, jobs []*dispatchJ
 // single-flight leader.
 func (d *Dispatcher) consultCache(j *dispatchJob) bool {
 	c := d.opt.Cache
-	if c == nil || j.cacheKey == "" {
+	if c == nil || j.CacheKey == "" {
 		return false
 	}
-	data, src, state := c.Acquire(j.cacheKey, func(data []byte, ok bool) {
+	data, src, state := c.Acquire(j.CacheKey, func(data []byte, ok bool) {
 		d.onLeaderSettled(j, data, ok)
 	})
 	switch state {
 	case resultcache.Hit:
-		if res := decodeCachedResult(data, j.name); res != nil {
+		if res := decodeCachedResult(data, j.Name); res != nil {
 			res.Cache = src
 			d.fireStarted(j)
 			d.finish(j, res, "cache")
@@ -588,7 +484,7 @@ func (d *Dispatcher) consultCache(j *dispatchJob) bool {
 		// result (e.g. a corrupted persisted file).  Drop it and lead a
 		// fresh execution — the Fulfill on success overwrites both layers
 		// with good bytes, so the cache self-heals.
-		c.Delete(j.cacheKey)
+		c.Delete(j.CacheKey)
 		j.cacheLead = true
 		return false
 	case resultcache.Leader:
@@ -606,7 +502,7 @@ func (d *Dispatcher) consultCache(j *dispatchJob) bool {
 // re-entering the enqueue path off the leader's goroutine.
 func (d *Dispatcher) onLeaderSettled(j *dispatchJob, data []byte, ok bool) {
 	if ok {
-		if res := decodeCachedResult(data, j.name); res != nil {
+		if res := decodeCachedResult(data, j.Name); res != nil {
 			res.Cache = resultcache.SourceSingleflight
 			d.fireStarted(j)
 			d.finish(j, res, "cache")
@@ -773,24 +669,16 @@ func (d *Dispatcher) localSlot() {
 // execute runs one job locally and finishes it.
 func (d *Dispatcher) execute(j *dispatchJob) {
 	d.fireStarted(j)
-	var res *Result
 	if err := j.ctx.Err(); err != nil {
-		res = d.cancelledResult(j, err)
-	} else {
-		var rerr error
-		if j.litmus != nil {
-			res, rerr = RunLitmusShard(j.ctx, *j.litmus)
-		} else if j.optimize != nil {
-			res, rerr = RunOptimizeCell(j.ctx, *j.optimize)
-		} else {
-			res, rerr = d.eng.RunExperiment(j.ctx, j.name, j.opts)
-		}
-		if rerr != nil {
-			// Unknown experiment or malformed shard — validated at
-			// submission, so this is defensive; surface it as a failed
-			// result.
-			res = &Result{Experiment: j.name, Status: StatusFailed, Err: rerr.Error()}
-		}
+		d.finish(j, d.cancelledResult(j, err), "local")
+		return
+	}
+	res, err := RunJob(j.ctx, d.eng, j.Job)
+	if err != nil {
+		// Unknown experiment or malformed shard or cell — validated at
+		// submission, so this is defensive; surface it as a failed
+		// result.
+		res = &Result{Experiment: j.Name, Status: StatusFailed, Err: err.Error()}
 	}
 	d.finish(j, res, "local")
 }
@@ -802,8 +690,8 @@ func (d *Dispatcher) fireStarted(j *dispatchJob) {
 	fire := !j.startedFired && !j.done
 	j.startedFired = true
 	d.mu.Unlock()
-	if fire {
-		j.started(j.name)
+	if fire && j.sink != nil {
+		j.sink.ExperimentStarted(j.Name)
 	}
 }
 
@@ -851,11 +739,11 @@ func (d *Dispatcher) settleCache(j *dispatchJob, res *Result, mode string) {
 	}
 	if mode != "cancelled" && res != nil && res.Status == StatusOK && res.Cache == "" {
 		if data, err := json.Marshal(res); err == nil {
-			c.Fulfill(j.cacheKey, data)
+			c.Fulfill(j.CacheKey, data)
 			return
 		}
 	}
-	c.Abandon(j.cacheKey)
+	c.Abandon(j.CacheKey)
 }
 
 // cancelJobs resolves every unfinished job of a run whose context
@@ -893,8 +781,8 @@ func (d *Dispatcher) cancelJobs(jobs []*dispatchJob, cause error) {
 // cancelledResult synthesizes the result of a job written off by
 // cancellation, mirroring what runOne produces for a cancelled driver.
 func (d *Dispatcher) cancelledResult(j *dispatchJob, cause error) *Result {
-	r := &Result{Experiment: j.name, Status: StatusCancelled, Err: cause.Error()}
-	if ex, err := experiments.ByName(j.name); err == nil {
+	r := &Result{Experiment: j.Name, Status: StatusCancelled, Err: cause.Error()}
+	if ex, err := experiments.ByName(j.Name); err == nil {
 		r.Paper, r.Desc = ex.Paper, ex.Desc
 	}
 	return r
@@ -936,7 +824,7 @@ func (d *Dispatcher) Lease(worker string, max int) (id string, ttl time.Duration
 	for _, j := range granted {
 		d.fireStarted(j)
 		if d.opt.OnAssign != nil {
-			d.opt.OnAssign(j.runID, j.name, worker)
+			d.opt.OnAssign(j.runID, j.Name, worker)
 		}
 	}
 	return id, d.opt.LeaseTTL, granted
@@ -989,7 +877,7 @@ func (d *Dispatcher) Complete(id string, uploaded []CompletedJob) (accepted, req
 	}
 	var missing []*dispatchJob
 	for _, j := range jobs {
-		if u := byKey[j.runID+"\x00"+j.name]; u != nil && u.Res != nil {
+		if u := byKey[j.runID+"\x00"+j.Name]; u != nil && u.Res != nil {
 			if d.finish(j, u.Res, "remote") {
 				accepted++
 			}

@@ -14,10 +14,10 @@ import (
 	"repro/wmm/client"
 )
 
-// newDispatchServer builds a server with the sharded backend enabled.
+// newDispatchServer builds a server with the given dispatch options.
 func newDispatchServer(t *testing.T, d DispatchOptions) (*httptest.Server, *Server) {
 	t.Helper()
-	ts, api, _ := newTestServerOpts(t, ServerOptions{Parallel: 2, Dispatch: &d})
+	ts, api, _ := newTestServerOpts(t, ServerOptions{Parallel: 2, Dispatch: d})
 	return ts, api
 }
 
@@ -42,33 +42,34 @@ func decodeEnvelope(t *testing.T, resp *http.Response) (code, message string) {
 
 // TestDispatchCanonicalIdentity verifies the tentpole's core invariant
 // at the local-slots level: a run executed through the sharded
-// dispatcher (queue, slots, out-of-order completion) yields canonical
-// JSON byte-identical to the plain in-process Engine.Run path.
+// dispatcher (queue, slots, out-of-order completion) serves canonical
+// JSON byte-identical to a direct in-process Engine.Run of the same
+// spec.
 func TestDispatchCanonicalIdentity(t *testing.T) {
-	spec := `{"experiments": ["fig4", "txt3"], "short": true, "samples": 2, "seed": 3, "parallel": 2}`
-
-	tsLocal, _ := newTestServer(t) // no dispatcher: Engine.Run path
-	idLocal := postRun(t, tsLocal, spec)
-	if st := waitState(t, tsLocal, idLocal, 2*time.Minute); st.State != StateDone {
-		t.Fatalf("local run ended %s (err %q)", st.State, st.Error)
+	eng := New(Options{Workers: 2})
+	defer eng.Close()
+	direct, err := eng.Run(context.Background(), []string{"fig4", "txt3"},
+		RunOptions{Samples: 2, Seed: 3, Short: true, Parallel: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, err := testClient(tsLocal).CanonicalRun(context.Background(), idLocal)
+	want, err := CanonicalRunJSON(direct)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	tsDisp, _ := newDispatchServer(t, DispatchOptions{})
-	idDisp := postRun(t, tsDisp, spec)
-	if st := waitState(t, tsDisp, idDisp, 2*time.Minute); st.State != StateDone {
+	ts, _ := newDispatchServer(t, DispatchOptions{})
+	id := postRun(t, ts, `{"experiments": ["fig4", "txt3"], "short": true, "samples": 2, "seed": 3, "parallel": 2}`)
+	if st := waitState(t, ts, id, 2*time.Minute); st.State != StateDone {
 		t.Fatalf("dispatched run ended %s (err %q)", st.State, st.Error)
 	}
-	got, err := testClient(tsDisp).CanonicalRun(context.Background(), idDisp)
+	got, err := testClient(ts).CanonicalRun(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	if !bytes.Equal(got, want) {
-		t.Errorf("dispatched run diverged from local run:\n--- local ---\n%s\n--- dispatched ---\n%s", want, got)
+		t.Errorf("dispatched run diverged from direct Engine.Run:\n--- direct ---\n%s\n--- dispatched ---\n%s", want, got)
 	}
 }
 
@@ -217,20 +218,6 @@ func TestErrorEnvelope(t *testing.T) {
 		}
 		if code, _ := decodeEnvelope(t, resp); code != ErrCodeInvalidArgument {
 			t.Errorf("code = %q, want %q", code, ErrCodeInvalidArgument)
-		}
-	})
-
-	t.Run("lease endpoints without dispatcher", func(t *testing.T) {
-		resp, err := http.Post(ts.URL+"/api/v1/leases", "application/json",
-			strings.NewReader(`{"worker": "w1"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("status = %d, want 503", resp.StatusCode)
-		}
-		if code, _ := decodeEnvelope(t, resp); code != ErrCodeUnavailable {
-			t.Errorf("code = %q, want %q", code, ErrCodeUnavailable)
 		}
 	})
 }

@@ -4,7 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
+	"io"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/litmus"
@@ -44,6 +45,106 @@ type LitmusSpec struct {
 	// accounted to (the X-WMM-Tenant header wins; empty = "default").
 	Tenant string `json:"tenant,omitempty"`
 }
+
+// litmusKind is the async-job kind of litmus campaigns.
+var litmusKind = &jobKind{name: "litmus", noun: "litmus campaign", unit: "shards", plan: planLitmus}
+
+// planLitmus validates a campaign and cuts it into shards.
+func planLitmus(body io.Reader, defaultParallel int) (jobPlan, error) {
+	var spec LitmusSpec
+	if err := json.NewDecoder(body).Decode(&spec); err != nil {
+		return jobPlan{}, err
+	}
+	spec = spec.withDefaults()
+	if err := spec.validate(); err != nil {
+		return jobPlan{}, err
+	}
+	if spec.Parallel <= 0 {
+		spec.Parallel = defaultParallel
+	}
+	lw := &litmusWork{spec: spec, shards: spec.shards()}
+	return jobPlan{work: lw, tenant: &lw.spec.Tenant, timeoutMs: spec.TimeoutMs, size: len(lw.shards)}, nil
+}
+
+// litmusWork is a campaign's kind-specific state.
+type litmusWork struct {
+	spec      LitmusSpec
+	shards    []LitmusShard
+	completed []*Result // shard results, completion order, while running
+	final     []*Result // shard order, once the campaign ends
+}
+
+// LitmusStatus is the snapshot served by GET /api/v1/litmus/{id}.  The
+// id / kind / state / tenant / started_at / finished_at header is the
+// envelope shared by every v1 job resource.
+type LitmusStatus struct {
+	ID     string `json:"id"`
+	Kind   string `json:"kind"`
+	State  string `json:"state"`
+	Tenant string `json:"tenant,omitempty"`
+	// FinishedAt is set once the campaign leaves the running state.
+	FinishedAt *time.Time `json:"finished_at,omitempty"`
+	Spec       LitmusSpec `json:"spec"`
+	Total      int        `json:"total"`     // shards
+	Completed  int        `json:"completed"` // shards finished
+	// Tests and Trials aggregate the completed shards' execution
+	// accounting (tests run, randomized trials performed).
+	Tests     int       `json:"tests"`
+	Trials    int       `json:"trials"`
+	Error     string    `json:"error,omitempty"`
+	StartedAt time.Time `json:"started_at"`
+	WallMs    int64     `json:"wall_ms"`
+	Results   []*Result `json:"results,omitempty"`
+}
+
+func (st LitmusStatus) jobID() string { return st.ID }
+
+// drive shards the campaign across the dispatcher.
+func (lw *litmusWork) drive(ctx context.Context, s *Server, j *asyncJob) ([]*Result, func(), error) {
+	jobs := make([]Job, len(lw.shards))
+	for i, sh := range lw.shards {
+		jobs[i] = Job{Name: sh.name(), Payload: sh}
+	}
+	results, err := s.disp.Run(ctx, j.id, j.tenant, jobs, lw.spec.Parallel, j, j.admitted)
+	return results, func() { lw.final = results }, err
+}
+
+func (lw *litmusWork) record(res *Result) { lw.completed = append(lw.completed, res) }
+
+func (lw *litmusWork) status(j *asyncJob, withResults, _ bool) jobStatus {
+	st := LitmusStatus{
+		ID:        j.id,
+		Kind:      litmusKind.name,
+		State:     j.state,
+		Tenant:    j.tenant,
+		Spec:      lw.spec,
+		Total:     len(lw.shards),
+		Completed: len(lw.completed),
+		Error:     j.err,
+		StartedAt: j.started,
+	}
+	st.FinishedAt, st.WallMs = jobTimes(j.started, j.finished)
+	counted := lw.completed
+	if lw.final != nil {
+		counted = lw.final
+	}
+	for _, res := range counted {
+		if res != nil {
+			st.Tests += res.Measurements
+			st.Trials += res.Samples
+		}
+	}
+	if withResults || j.state != StateRunning {
+		if lw.final != nil {
+			st.Results = lw.final
+		} else {
+			st.Results = append([]*Result{}, lw.completed...)
+		}
+	}
+	return st
+}
+
+func (lw *litmusWork) canonical() ([]byte, error) { return CanonicalRunJSON(lw.final) }
 
 // maxLitmusCount bounds a campaign; the recipe space saturates long
 // before this, and gen.Generate fails loudly when a Count is impossible.
@@ -208,48 +309,4 @@ func RunLitmusShard(ctx context.Context, sh LitmusShard) (*Result, error) {
 		res.Samples += out.Trials
 	}
 	return finish(StatusOK, "", outs), nil
-}
-
-// runLitmusLocal executes a campaign's shards in-process with bounded
-// parallelism — the fallback when no dispatcher is configured, with the
-// same containment and ordering semantics as Engine.Run: failures stay
-// in their shard's Result, results come back in shard order, and the
-// first failure in that order is also returned as the campaign error.
-func runLitmusLocal(ctx context.Context, shards []LitmusShard, parallel int, sink Sink) ([]*Result, error) {
-	if parallel <= 0 {
-		parallel = 1
-	}
-	if parallel > len(shards) {
-		parallel = len(shards)
-	}
-	sem := make(chan struct{}, parallel)
-	results := make([]*Result, len(shards))
-	var wg sync.WaitGroup
-	for i, sh := range shards {
-		wg.Add(1)
-		go func(i int, sh LitmusShard) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if sink != nil {
-				sink.ExperimentStarted(sh.name())
-			}
-			res, err := RunLitmusShard(ctx, sh)
-			if err != nil {
-				res = &Result{Experiment: sh.name(), Status: StatusFailed, Err: err.Error()}
-			}
-			results[i] = res
-			if sink != nil {
-				sink.ExperimentDone(res)
-			}
-		}(i, sh)
-	}
-	wg.Wait()
-
-	for _, r := range results {
-		if r.Err != "" {
-			return results, fmt.Errorf("%s: %s", r.Experiment, r.Err)
-		}
-	}
-	return results, nil
 }

@@ -45,9 +45,9 @@ func waitLitmus(t *testing.T, ts *httptest.Server, id string) client.LitmusStatu
 	return st
 }
 
-// TestLitmusAPILocal exercises the campaign lifecycle on a server with
-// no dispatcher: submit, wait, status accounting, canonical JSON,
-// per-shard Output shape, and removal.
+// TestLitmusAPILocal exercises the campaign lifecycle on a server whose
+// shards run in its local slots: submit, wait, status accounting,
+// canonical JSON, per-shard Output shape, and removal.
 func TestLitmusAPILocal(t *testing.T) {
 	ts, _ := newTestServer(t)
 	cl := testClient(ts)
@@ -123,29 +123,41 @@ func TestLitmusAPILocal(t *testing.T) {
 
 // TestLitmusDispatchIdentity verifies the campaign analogue of the
 // dispatcher invariant: a campaign sharded through the queue and local
-// slots yields canonical JSON byte-identical to the in-process path.
+// slots serves canonical JSON byte-identical to direct RunLitmusShard
+// calls over the same shards.
 func TestLitmusDispatchIdentity(t *testing.T) {
-	tsLocal, _ := newTestServer(t)
-	subLocal := submitLitmus(t, tsLocal, litmusSpecJSON)
-	if st := waitLitmus(t, tsLocal, subLocal.ID); st.State != client.StateDone {
-		t.Fatalf("local campaign ended %s (err %q)", st.State, st.Error)
+	spec := LitmusSpec{
+		Arch:      litmusSpecJSON.Arch,
+		GenSeed:   litmusSpecJSON.GenSeed,
+		Count:     litmusSpecJSON.Count,
+		Trials:    litmusSpecJSON.Trials,
+		Seed:      litmusSpecJSON.Seed,
+		ShardSize: litmusSpecJSON.ShardSize,
+	}.withDefaults()
+	var direct []*Result
+	for _, sh := range spec.shards() {
+		res, err := RunLitmusShard(context.Background(), sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct = append(direct, res)
 	}
-	want, err := testClient(tsLocal).CanonicalLitmus(context.Background(), subLocal.ID)
+	want, err := CanonicalRunJSON(direct)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	tsDisp, _ := newDispatchServer(t, DispatchOptions{})
-	subDisp := submitLitmus(t, tsDisp, litmusSpecJSON)
-	if st := waitLitmus(t, tsDisp, subDisp.ID); st.State != client.StateDone {
+	ts, _ := newDispatchServer(t, DispatchOptions{})
+	sub := submitLitmus(t, ts, litmusSpecJSON)
+	if st := waitLitmus(t, ts, sub.ID); st.State != client.StateDone {
 		t.Fatalf("dispatched campaign ended %s (err %q)", st.State, st.Error)
 	}
-	got, err := testClient(tsDisp).CanonicalLitmus(context.Background(), subDisp.ID)
+	got, err := testClient(ts).CanonicalLitmus(context.Background(), sub.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("dispatched campaign diverged from local:\n--- local ---\n%s\n--- dispatched ---\n%s", want, got)
+		t.Errorf("dispatched campaign diverged from direct shards:\n--- direct ---\n%s\n--- dispatched ---\n%s", want, got)
 	}
 }
 

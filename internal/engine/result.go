@@ -126,11 +126,6 @@ type RunOptions struct {
 	// draws samples until its CI is tight enough.  Participates in the
 	// result-cache content hash.
 	Adaptive *stats.StopRule
-	// NoCache bypasses the dispatcher's result cache for this run: jobs
-	// always execute, and their results are not committed.  (The direct
-	// Engine.Run path never consults the cache; this matters only for
-	// dispatched runs.)
-	NoCache bool
 }
 
 // AdaptiveSpec is the wire form of stats.StopRule used by the v1 API and

@@ -45,9 +45,9 @@ func TestResultKeyDiscriminates(t *testing.T) {
 	}
 	// Irrelevant execution-shape fields must NOT participate: where and
 	// how wide a job runs never changes its bytes.
-	same := RunOptions{Samples: 2, Seed: 3, Short: true, Parallel: 7, NoCache: true}
+	same := RunOptions{Samples: 2, Seed: 3, Short: true, Parallel: 7}
 	if ResultKey("fig4", same) != key {
-		t.Error("parallelism/nocache changed the content hash")
+		t.Error("parallelism changed the content hash")
 	}
 }
 
@@ -92,7 +92,7 @@ func newCachedServer(t *testing.T, persist resultcache.Persist) (*client.Client,
 	cache := resultcache.New(resultcache.Options{Persist: persist})
 	ts, api, eng := newTestServerOpts(t, ServerOptions{
 		Parallel: 2,
-		Dispatch: &DispatchOptions{Cache: cache},
+		Dispatch: DispatchOptions{Cache: cache},
 	})
 	_ = eng
 	return testClient(ts), api, cache

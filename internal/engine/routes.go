@@ -62,21 +62,21 @@ var routeTable = []apiRoute{
 	{Method: "DELETE", Path: "/api/v1/runs/{id}", Desc: "cancel a running run / remove a finished one",
 		handler: func(s *Server) http.HandlerFunc { return s.handleCancel }},
 	{Method: "POST", Path: "/api/v1/litmus", Desc: "submit a generated litmus campaign (LitmusSpec)",
-		handler: func(s *Server) http.HandlerFunc { return s.handleLitmusSubmit }},
+		handler: func(s *Server) http.HandlerFunc { return s.handleJobSubmit(litmusKind) }},
 	{Method: "GET", Path: "/api/v1/litmus", Desc: "litmus campaign statuses (?limit=&after=)",
-		handler: func(s *Server) http.HandlerFunc { return s.handleLitmusList }},
+		handler: func(s *Server) http.HandlerFunc { return s.handleJobList(litmusKind) }},
 	{Method: "GET", Path: "/api/v1/litmus/{id}", Desc: "campaign status; ?results=1 partial results, ?canonical=1 canonical shard-result JSON",
-		handler: func(s *Server) http.HandlerFunc { return s.handleLitmusStatus }},
+		handler: func(s *Server) http.HandlerFunc { return s.handleJobStatus(litmusKind) }},
 	{Method: "DELETE", Path: "/api/v1/litmus/{id}", Desc: "cancel a running campaign / remove a finished one",
-		handler: func(s *Server) http.HandlerFunc { return s.handleLitmusCancel }},
+		handler: func(s *Server) http.HandlerFunc { return s.handleJobCancel(litmusKind) }},
 	{Method: "POST", Path: "/api/v1/optimize", Desc: "submit a fence-strategy optimizer job (OptimizeSpec)",
-		handler: func(s *Server) http.HandlerFunc { return s.handleOptimizeSubmit }},
+		handler: func(s *Server) http.HandlerFunc { return s.handleJobSubmit(optimizeKind) }},
 	{Method: "GET", Path: "/api/v1/optimize", Desc: "optimizer job statuses (?limit=&after=)",
-		handler: func(s *Server) http.HandlerFunc { return s.handleOptimizeList }},
+		handler: func(s *Server) http.HandlerFunc { return s.handleJobList(optimizeKind) }},
 	{Method: "GET", Path: "/api/v1/optimize/{id}", Desc: "optimizer job status; ?canonical=1 serves the canonical report JSON",
-		handler: func(s *Server) http.HandlerFunc { return s.handleOptimizeStatus }},
+		handler: func(s *Server) http.HandlerFunc { return s.handleJobStatus(optimizeKind) }},
 	{Method: "DELETE", Path: "/api/v1/optimize/{id}", Desc: "cancel a running optimizer job / remove a finished one",
-		handler: func(s *Server) http.HandlerFunc { return s.handleOptimizeCancel }},
+		handler: func(s *Server) http.HandlerFunc { return s.handleJobCancel(optimizeKind) }},
 	{Method: "POST", Path: "/api/v1/leases", Desc: "worker lease: grab a batch of jobs (sharded backend)",
 		handler: func(s *Server) http.HandlerFunc { return s.handleLease }},
 	{Method: "POST", Path: "/api/v1/leases/{id}/heartbeat", Desc: "renew a worker lease",

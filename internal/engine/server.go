@@ -145,15 +145,18 @@ type serverMetrics struct {
 	runsResumed  *metrics.Counter // interrupted runs resumed on startup
 	runsRestored *metrics.Counter // finished runs replayed into the catalogue
 
-	assignments   *metrics.Counter // jobs assigned to remote workers
-	litmusRuns    *metrics.Counter // litmus campaign lifecycle transitions, by state
-	litmusSwept   *metrics.Counter // litmus campaigns removed by GC or DELETE
-	optimizeRuns  *metrics.Counter // optimizer job lifecycle transitions, by state
-	optimizeSwept *metrics.Counter // optimizer jobs removed by GC or DELETE
-	cacheSwept    *metrics.Counter // persisted cache entries removed by retention
+	assignments *metrics.Counter        // jobs assigned to remote workers
+	jobs        map[string]*kindMetrics // async-job instruments, by kind
+	cacheSwept  *metrics.Counter        // persisted cache entries removed by retention
 
-	tenantRuns     *metrics.Gauge   // runs + campaigns executing, by tenant
+	tenantRuns     *metrics.Gauge   // jobs of every kind executing, by tenant
 	tenantRejected *metrics.Counter // refused submissions, by tenant and reason
+}
+
+// kindMetrics are one async-job kind's instruments.
+type kindMetrics struct {
+	runs  *metrics.Counter // lifecycle transitions, by state
+	swept *metrics.Counter // finished jobs removed by GC or DELETE
 }
 
 func newServerMetrics(r *metrics.Registry) *serverMetrics {
@@ -171,14 +174,20 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 		runsResumed:  r.Counter("wmm_runs_resumed_total", "Interrupted runs resumed from the store on startup."),
 		runsRestored: r.Counter("wmm_runs_restored_total", "Finished runs replayed from the store into the catalogue."),
 
-		assignments:   r.Counter("wmm_dispatch_assignments_total", "Experiment jobs assigned to remote workers under leases."),
-		litmusRuns:    r.Counter("wmm_litmus_runs_total", "Litmus campaign lifecycle transitions (submitted/done/failed/cancelled/partial).", "state"),
-		litmusSwept:   r.Counter("wmm_litmus_runs_swept_total", "Finished litmus campaigns removed by the retention sweep or DELETE."),
-		optimizeRuns:  r.Counter("wmm_optimize_runs_total", "Optimizer job lifecycle transitions (submitted/done/failed/cancelled).", "state"),
-		optimizeSwept: r.Counter("wmm_optimize_runs_swept_total", "Finished optimizer jobs removed by the retention sweep or DELETE."),
-		cacheSwept:    r.Counter("wmm_resultcache_persist_swept_total", "Persisted result-cache entries removed by the retention sweep."),
+		assignments: r.Counter("wmm_dispatch_assignments_total", "Experiment jobs assigned to remote workers under leases."),
+		jobs: map[string]*kindMetrics{
+			litmusKind.name: {
+				runs:  r.Counter("wmm_litmus_runs_total", "Litmus campaign lifecycle transitions (submitted/done/failed/cancelled/partial).", "state"),
+				swept: r.Counter("wmm_litmus_runs_swept_total", "Finished litmus campaigns removed by the retention sweep or DELETE."),
+			},
+			optimizeKind.name: {
+				runs:  r.Counter("wmm_optimize_runs_total", "Optimizer job lifecycle transitions (submitted/done/failed/cancelled).", "state"),
+				swept: r.Counter("wmm_optimize_runs_swept_total", "Finished optimizer jobs removed by the retention sweep or DELETE."),
+			},
+		},
+		cacheSwept: r.Counter("wmm_resultcache_persist_swept_total", "Persisted result-cache entries removed by the retention sweep."),
 
-		tenantRuns:     r.Gauge("wmm_tenant_runs_running", "Runs and litmus campaigns currently executing, by tenant.", "tenant"),
+		tenantRuns:     r.Gauge("wmm_tenant_runs_running", "Jobs (runs, litmus campaigns and optimizer jobs) currently executing, by tenant.", "tenant"),
 		tenantRejected: r.Counter("wmm_tenant_rejected_total", "Submissions refused by admission control, by tenant and reason.", "tenant", "reason"),
 	}
 }
@@ -203,23 +212,24 @@ type ServerOptions struct {
 	// behaviour.  Any runstore backend works (JSONL or segment); take
 	// care to leave this nil rather than storing a typed-nil pointer.
 	Store runstore.Storage
-	// Dispatch, when non-nil, enables the sharded execution backend:
-	// runs are decomposed into experiment jobs on a shared queue served
-	// by local executor slots and by remote wmmworker processes leasing
-	// batches through POST /api/v1/leases.  Admission control refuses
-	// submissions that would overflow the queue with 429 + Retry-After.
-	// A nil Dispatch keeps the in-process Engine.Run path.  Set
-	// Dispatch.Cache to enable content-addressed result reuse.
-	Dispatch *DispatchOptions
+	// Dispatch configures the sharded execution backend every job runs
+	// through: runs, litmus campaigns and optimizer jobs are decomposed
+	// into jobs on a shared queue served by local executor slots and by
+	// remote wmmworker processes leasing batches through POST
+	// /api/v1/leases.  Admission control refuses submissions that would
+	// overflow the queue with 429 + Retry-After.  The zero value means
+	// the defaults; set Dispatch.Cache to enable content-addressed result
+	// reuse.
+	Dispatch DispatchOptions
 	// CacheRetain bounds how long persisted result-cache entries (the
 	// Store's cache/ directory) survive; the retention sweep removes
 	// older ones.  0 keeps them forever.
 	CacheRetain time.Duration
-	// TenantMaxRunning bounds how many runs and litmus campaigns one
-	// tenant may have executing at once; submissions beyond it are
-	// refused with 429 + Retry-After.  0 = unbounded.  Resumed runs
-	// bypass the quota — losing checkpointed work is worse than a brief
-	// overshoot.
+	// TenantMaxRunning bounds how many jobs — runs, litmus campaigns and
+	// optimizer jobs alike — one tenant may have executing at once;
+	// submissions beyond it are refused with 429 + Retry-After.
+	// 0 = unbounded.  Resumed runs bypass the quota — losing checkpointed
+	// work is worse than a brief overshoot.
 	TenantMaxRunning int
 	// OnFenced is called (once) when a store mutation is refused by the
 	// lease fencing token (runstore.ErrFenced): another process holds a
@@ -256,14 +266,12 @@ type Server struct {
 	mu            sync.Mutex
 	runs          map[string]*serverRun
 	seq           int
-	litmus        map[string]*litmusRun
-	litmusSeq     int
-	optimize      map[string]*optimizeRun
-	optimizeSeq   int
-	tenantRunning map[string]int // executing runs + campaigns, by tenant
+	jobs          map[string]*asyncJob // litmus campaigns and optimizer jobs, by ID
+	jobSeq        map[string]int       // last async-job ID issued, by kind
+	tenantRunning map[string]int       // executing jobs of every kind, by tenant
 	closed        bool
 
-	active   sync.WaitGroup // one per executing run
+	active   sync.WaitGroup // one per executing run or async job
 	stopOnce sync.Once
 	stop     chan struct{} // closes to end the retention sweeper
 }
@@ -284,8 +292,8 @@ func NewServer(eng *Engine, o ServerOptions) *Server {
 		onFenced:         o.OnFenced,
 		disableLegacy:    o.DisableLegacy,
 		runs:             map[string]*serverRun{},
-		litmus:           map[string]*litmusRun{},
-		optimize:         map[string]*optimizeRun{},
+		jobs:             map[string]*asyncJob{},
+		jobSeq:           map[string]int{},
 		tenantRunning:    map[string]int{},
 		stop:             make(chan struct{}),
 	}
@@ -294,20 +302,17 @@ func NewServer(eng *Engine, o ServerOptions) *Server {
 		// a restarted server never reuses an ID.
 		s.seq = s.store.MaxSeq()
 	}
-	if o.Dispatch != nil {
-		dopt := *o.Dispatch
-		if dopt.OnAssign == nil {
-			dopt.OnAssign = func(runID, experiment, worker string) {
-				s.met.assignments.Inc()
-				if s.store != nil {
-					if err := s.store.Assign(runID, experiment, worker); err != nil {
-						s.storeFailed("assign", err)
-					}
+	if o.Dispatch.OnAssign == nil {
+		o.Dispatch.OnAssign = func(runID, experiment, worker string) {
+			s.met.assignments.Inc()
+			if s.store != nil {
+				if err := s.store.Assign(runID, experiment, worker); err != nil {
+					s.storeFailed("assign", err)
 				}
 			}
 		}
-		s.disp = NewDispatcher(eng, dopt, o.Parallel)
 	}
+	s.disp = NewDispatcher(eng, o.Dispatch, o.Parallel)
 	if o.Retain > 0 || (o.CacheRetain > 0 && o.Store != nil) {
 		every := o.SweepEvery
 		if every <= 0 {
@@ -352,6 +357,15 @@ func specOrder(spec RunSpec) []string {
 		names = append(names, e.Name)
 	}
 	return names
+}
+
+// tenant is the fair-share queue and quota bucket the run is accounted
+// to; runs recorded before tenancy carry none and belong to the default.
+func (r *serverRun) tenant() string {
+	if r.spec.Tenant == "" {
+		return DefaultTenant
+	}
+	return r.spec.Tenant
 }
 
 // Restore replays the run store into the server.  Finished runs (those
@@ -450,16 +464,10 @@ func (s *Server) Restore() (resumed, restored int, err error) {
 				kept = append(kept, res)
 			}
 		}
-		ctx := context.Background()
-		var cancel context.CancelFunc
-		if spec.TimeoutMs > 0 {
-			// The deadline restarts from now: the original budget cannot
-			// be reconstructed across a crash, and a fresh one errs on
-			// the side of letting the run finish.
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.TimeoutMs)*time.Millisecond)
-		} else {
-			ctx, cancel = context.WithCancel(ctx)
-		}
+		// Any deadline restarts from now: the original budget cannot be
+		// reconstructed across a crash, and a fresh one errs on the side
+		// of letting the run finish.
+		ctx, cancel := jobContext(spec.TimeoutMs)
 		run := &serverRun{
 			id:       rec.ID,
 			srv:      s,
@@ -483,17 +491,13 @@ func (s *Server) Restore() (resumed, restored int, err error) {
 		s.active.Add(1)
 		// Resumed runs bypass the running quota: abandoning checkpointed
 		// work is worse than a brief overshoot after failover.
-		tenant := spec.Tenant
-		if tenant == "" {
-			tenant = DefaultTenant
-		}
-		s.tenantRunningAddLocked(tenant, 1)
+		s.tenantRunningAddLocked(run.tenant(), 1)
 		s.met.runsKept.Set(float64(len(s.runs)))
 		s.mu.Unlock()
 		s.met.runsActive.Add(1)
 		s.met.runsResumed.Inc()
 		resumed++
-		go s.execute(ctx, cancel, run)
+		go s.execute(ctx, run)
 	}
 	return resumed, restored, nil
 }
@@ -512,9 +516,9 @@ func (s *Server) sweep(every time.Duration) {
 	}
 }
 
-// gc removes finished runs and litmus campaigns whose retention has
-// lapsed (and persisted cache entries past their own retention),
-// returning how many runs were removed.
+// gc removes finished runs and async jobs whose retention has lapsed
+// (and persisted cache entries past their own retention), returning how
+// many runs were removed.
 func (s *Server) gc(now time.Time) int {
 	var victims []string
 	if s.retain > 0 {
@@ -531,29 +535,17 @@ func (s *Server) gc(now time.Time) int {
 		for _, id := range victims {
 			delete(s.runs, id)
 		}
-		// Litmus campaigns age out under the same retention; being
-		// in-memory only, no store cleanup is involved — but the sweep is
-		// counted so a leak here is observable (the pre-fix behaviour
-		// removed them silently or not at all).
-		litmusSwept := 0
-		for id, run := range s.litmus {
-			run.mu.Lock()
-			expired := run.state != StateRunning && run.finished.Before(cutoff)
-			run.mu.Unlock()
+		// Async jobs age out under the same retention; being in-memory
+		// only, no store cleanup is involved — but the sweep is counted
+		// per kind so a leak here is observable.
+		var swept []*asyncJob
+		for id, j := range s.jobs {
+			j.mu.Lock()
+			expired := j.state != StateRunning && j.finished.Before(cutoff)
+			j.mu.Unlock()
 			if expired {
-				delete(s.litmus, id)
-				litmusSwept++
-			}
-		}
-		// Optimizer jobs are in-memory only too, and age out identically.
-		optimizeSwept := 0
-		for id, run := range s.optimize {
-			run.mu.Lock()
-			expired := run.state != StateRunning && run.finished.Before(cutoff)
-			run.mu.Unlock()
-			if expired {
-				delete(s.optimize, id)
-				optimizeSwept++
+				delete(s.jobs, id)
+				swept = append(swept, j)
 			}
 		}
 		s.met.runsKept.Set(float64(len(s.runs)))
@@ -561,11 +553,8 @@ func (s *Server) gc(now time.Time) int {
 		if len(victims) > 0 {
 			s.met.runsSwept.Add(float64(len(victims)))
 		}
-		if litmusSwept > 0 {
-			s.met.litmusSwept.Add(float64(litmusSwept))
-		}
-		if optimizeSwept > 0 {
-			s.met.optimizeSwept.Add(float64(optimizeSwept))
+		for _, j := range swept {
+			s.met.jobs[j.kind.name].swept.Inc()
 		}
 		// Expired runs leave the store too, or they would resurrect at the
 		// next restart.
@@ -588,40 +577,28 @@ func (s *Server) gc(now time.Time) int {
 	return len(victims)
 }
 
-// Shutdown stops accepting new runs, cancels every in-flight run, and
-// waits (bounded by ctx) for their executor goroutines to finish.  After
-// it returns nil, no run is mid-Measure, so Engine.Close is safe.
+// Shutdown stops accepting new jobs, cancels every in-flight run and
+// async job, and waits (bounded by ctx) for their executor goroutines
+// to finish.  After it returns nil, no run is mid-Measure, so
+// Engine.Close is safe.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
-	runs := make([]*serverRun, 0, len(s.runs))
+	cancels := make([]context.CancelFunc, 0, len(s.runs)+len(s.jobs))
 	for _, run := range s.runs {
-		runs = append(runs, run)
+		cancels = append(cancels, run.cancel)
 	}
-	campaigns := make([]*litmusRun, 0, len(s.litmus))
-	for _, run := range s.litmus {
-		campaigns = append(campaigns, run)
-	}
-	optimizes := make([]*optimizeRun, 0, len(s.optimize))
-	for _, run := range s.optimize {
-		optimizes = append(optimizes, run)
+	for _, j := range s.jobs {
+		cancels = append(cancels, j.cancel)
 	}
 	s.mu.Unlock()
 	s.stopOnce.Do(func() { close(s.stop) })
-	for _, run := range runs {
-		run.cancel()
+	for _, cancel := range cancels {
+		cancel()
 	}
-	for _, run := range campaigns {
-		run.cancel()
-	}
-	for _, run := range optimizes {
-		run.cancel()
-	}
-	if s.disp != nil {
-		// The run cancellations above resolve every outstanding job, so
-		// the executor slots and reaper can stop.
-		s.disp.Close()
-	}
+	// The cancellations above resolve every outstanding dispatch job, so
+	// the executor slots and reaper can stop.
+	s.disp.Close()
 	done := make(chan struct{})
 	go func() {
 		s.active.Wait()
@@ -656,7 +633,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //	GET    /api/v1/optimize/{id} job status; ?canonical=1 serves the
 //	                             canonical report JSON
 //	DELETE /api/v1/optimize/{id} cancel / remove an optimizer job
-//	POST   /api/v1/leases        worker job lease (sharded backend)
+//	POST   /api/v1/leases        worker job lease: a batch of experiment,
+//	                             litmus-shard and optimizer-cell jobs
 //	POST   /api/v1/leases/{id}/heartbeat   renew a lease
 //	POST   /api/v1/leases/{id}/results     upload a lease's results
 //
@@ -758,7 +736,7 @@ const (
 	ErrCodeNotFound        = "not_found"        // unknown run id
 	ErrCodeConflict        = "conflict"         // state precludes the request (e.g. canonical of a running run)
 	ErrCodeSaturated       = "saturated"        // admission control refused the run (429 + Retry-After)
-	ErrCodeUnavailable     = "unavailable"      // shutting down, or dispatch disabled
+	ErrCodeUnavailable     = "unavailable"      // shutting down, deposed, or an HA standby
 	ErrCodeLeaseGone       = "lease_gone"       // lease expired or unknown; batch already re-queued
 
 	ErrCodeMethodNotAllowed = "method_not_allowed" // route exists, verb does not (405 + Allow)
@@ -975,14 +953,77 @@ func (s *Server) tenantRunningDone(tenant string) {
 // refusals: Retry-After plus the standard error body.
 func (s *Server) writeSaturated(w http.ResponseWriter, format string, args ...any) {
 	retry := 1
-	if s.disp != nil {
-		if r := int(s.disp.RetryAfter().Seconds()); r > retry {
-			retry = r
-		}
+	if r := int(s.disp.RetryAfter().Seconds()); r > retry {
+		retry = r
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(retry))
 	args = append(args, retry)
 	writeErr(w, http.StatusTooManyRequests, ErrCodeSaturated, format+"; retry after %ds", args...)
+}
+
+// jobContext is a job's execution context: bounded by timeoutMs when it
+// is positive, cancellable either way.
+func jobContext(timeoutMs int64) (context.Context, context.CancelFunc) {
+	if timeoutMs > 0 {
+		return context.WithTimeout(context.Background(), time.Duration(timeoutMs)*time.Millisecond)
+	}
+	return context.WithCancel(context.Background())
+}
+
+// admitJob is the submit preamble shared by every job kind.  Admission
+// control first refuses work the dispatch queue cannot absorb — globally
+// or within the tenant's quota — with a Retry-After hint, before anything
+// is recorded: the reservation covers the job's first n dispatch jobs
+// (unit names them in the refusal) and is released job by job as they
+// finish.  Then, under s.mu, a closing server or a tenant already at its
+// running-jobs quota is refused; otherwise register records the job with
+// the cancel of the returned context.  A refusal releases what was taken
+// and writes its envelope (ok=false).
+func (s *Server) admitJob(w http.ResponseWriter, tenant, unit string, n int, timeoutMs int64, register func(context.CancelFunc)) (ctx context.Context, ok bool) {
+	switch err := s.disp.TryAdmit(tenant, n); err {
+	case nil:
+	case ErrTenantSaturated:
+		s.writeSaturated(w, "tenant %q queue quota exceeded (%d %s refused)", tenant, n, unit)
+		return nil, false
+	default:
+		s.writeSaturated(w, "dispatch queue saturated (%d %s refused)", n, unit)
+		return nil, false
+	}
+	ctx, cancel := jobContext(timeoutMs)
+	s.mu.Lock()
+	closed := s.closed
+	if !closed && s.tenantAdmitRunningLocked(tenant) {
+		register(cancel)
+		s.active.Add(1)
+		s.mu.Unlock()
+		return ctx, true
+	}
+	s.mu.Unlock()
+	cancel()
+	s.disp.admitForce(tenant, -n)
+	if closed {
+		writeErr(w, http.StatusServiceUnavailable, ErrCodeUnavailable, "server shutting down")
+	} else {
+		s.met.tenantRejected.Inc(tenant, "tenant_running")
+		s.writeSaturated(w, "tenant %q already has %d jobs executing", tenant, s.tenantMaxRunning)
+	}
+	return nil, false
+}
+
+// finalState classifies a finished job of any kind: done without an
+// error; otherwise cancelled when its context ended or a result was
+// cancelled, partial when some result succeeded, failed when none did.
+func finalState(ctx context.Context, err error, results []*Result) string {
+	switch {
+	case err == nil:
+		return StateDone
+	case ctx.Err() != nil || anyCanceled(results):
+		return StateCancelled
+	case anyOK(results):
+		return StatePartial
+	default:
+		return StateFailed
+	}
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -1022,73 +1063,27 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	spec.Tenant = tenant // persist and echo the effective tenant
 
-	total := len(spec.Experiments)
-	if total == 0 {
-		total = len(experiments.All())
-	}
-
-	// Admission control: refuse work the dispatch queue cannot absorb —
-	// globally or within this tenant's quota — with a Retry-After hint,
-	// before anything is recorded.  The reservation is released job by
-	// job as the run's jobs finish.
-	admitted := 0
-	if s.disp != nil {
-		switch err := s.disp.TryAdmit(tenant, total); err {
-		case nil:
-			admitted = total
-		case ErrTenantSaturated:
-			s.writeSaturated(w, "tenant %q queue quota exceeded (%d jobs refused)", tenant, total)
-			return
-		default:
-			s.writeSaturated(w, "dispatch queue saturated (%d jobs refused)", total)
-			return
+	total := len(specOrder(spec))
+	var run *serverRun
+	ctx, ok := s.admitJob(w, tenant, "jobs", total, spec.TimeoutMs, func(cancel context.CancelFunc) {
+		s.seq++
+		run = &serverRun{
+			id:       fmt.Sprintf("run-%d", s.seq),
+			srv:      s,
+			spec:     spec,
+			total:    total,
+			cancel:   cancel,
+			admitted: total,
+			state:    StateRunning,
+			started:  time.Now(),
+			running:  map[string]bool{},
 		}
-	}
-
-	ctx := context.Background()
-	var cancel context.CancelFunc
-	if spec.TimeoutMs > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.TimeoutMs)*time.Millisecond)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		cancel()
-		if s.disp != nil {
-			s.disp.admitForce(tenant, -admitted)
-		}
-		writeErr(w, http.StatusServiceUnavailable, ErrCodeUnavailable, "server shutting down")
+		s.runs[run.id] = run
+		s.met.runsKept.Set(float64(len(s.runs)))
+	})
+	if !ok {
 		return
 	}
-	if !s.tenantAdmitRunningLocked(tenant) {
-		s.mu.Unlock()
-		cancel()
-		if s.disp != nil {
-			s.disp.admitForce(tenant, -admitted)
-		}
-		s.met.tenantRejected.Inc(tenant, "tenant_running")
-		s.writeSaturated(w, "tenant %q already has %d runs executing", tenant, s.tenantMaxRunning)
-		return
-	}
-	s.seq++
-	run := &serverRun{
-		id:       fmt.Sprintf("run-%d", s.seq),
-		srv:      s,
-		spec:     spec,
-		total:    total,
-		cancel:   cancel,
-		admitted: admitted,
-		state:    StateRunning,
-		started:  time.Now(),
-		running:  map[string]bool{},
-	}
-	s.runs[run.id] = run
-	s.active.Add(1)
-	s.met.runsKept.Set(float64(len(s.runs)))
-	s.mu.Unlock()
 
 	// Persist the spec before any work happens, so a crash at any later
 	// point leaves a resumable record.  Durability is best-effort: a
@@ -1110,10 +1105,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				s.tenantRunningAddLocked(tenant, -1)
 				s.mu.Unlock()
 				s.active.Done()
-				cancel()
-				if s.disp != nil {
-					s.disp.admitForce(tenant, -admitted)
-				}
+				run.cancel()
+				s.disp.admitForce(tenant, -total)
 				writeErr(w, http.StatusServiceUnavailable, ErrCodeUnavailable,
 					"coordinator deposed: run store is fenced at a newer lease term")
 				return
@@ -1123,53 +1116,51 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.met.runs.Inc("submitted")
 	s.met.runsActive.Add(1)
 
-	go s.execute(ctx, cancel, run)
+	go s.execute(ctx, run)
 	writeJSON(w, http.StatusAccepted, map[string]any{"id": run.id, "state": StateRunning, "total": total})
 }
 
-// execute drives the run to completion on its own goroutine, through
-// the sharded dispatcher when one is configured and the in-process
-// engine otherwise.  Both paths produce byte-identical results for the
-// same spec and seed.
-func (s *Server) execute(ctx context.Context, cancel context.CancelFunc, run *serverRun) {
+// execute drives the run to completion on its own goroutine: every
+// experiment not restored from a checkpoint becomes one experiment job
+// sharded through the dispatcher, and the checkpointed results fill in
+// the rest, in request order.
+func (s *Server) execute(ctx context.Context, run *serverRun) {
 	defer s.active.Done()
-	defer cancel()
-	opts := RunOptions{
-		Samples:   run.spec.Samples,
-		Seed:      run.spec.Seed,
-		Short:     run.spec.Short,
-		Parallel:  run.spec.Parallel,
-		Completed: run.restored,
-		Adaptive:  run.spec.Adaptive.Rule(),
-		NoCache:   run.spec.NoCache,
-	}
-	tenant := run.spec.Tenant
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	var results []*Result
-	var err error
-	if s.disp != nil {
-		results, err = s.disp.Run(ctx, run.id, tenant, run.spec.Experiments, opts, (*runSink)(run), run.admitted)
-	} else {
-		results, err = s.eng.Run(ctx, run.spec.Experiments, opts, (*runSink)(run))
-	}
+	defer run.cancel()
+	tenant := run.tenant()
 	defer s.tenantRunningDone(tenant)
+
+	order := specOrder(run.spec)
+	exp := ExperimentJob{
+		Samples:  run.spec.Samples,
+		Seed:     run.spec.Seed,
+		Short:    run.spec.Short,
+		Adaptive: run.spec.Adaptive.Rule(),
+	}
+	var jobs []Job
+	for _, name := range order {
+		if run.restored[name] != nil {
+			continue
+		}
+		job := Job{Name: name, Payload: exp}
+		if !run.spec.NoCache {
+			job.CacheKey = ResultKey(name, RunOptions(exp))
+		}
+		jobs = append(jobs, job)
+	}
+	ran, err := s.disp.Run(ctx, run.id, tenant, jobs, run.spec.Parallel, (*runSink)(run), run.admitted)
+	results := make([]*Result, len(order))
+	for i, name := range order {
+		if results[i] = run.restored[name]; results[i] == nil {
+			results[i], ran = ran[0], ran[1:]
+		}
+	}
 
 	run.mu.Lock()
 	run.final = results
 	run.finished = time.Now()
-	switch {
-	case err == nil:
-		run.state = StateDone
-	case ctx.Err() != nil || anyCanceled(results):
-		run.state = StateCancelled
-		run.err = err.Error()
-	case anyOK(results):
-		run.state = StatePartial
-		run.err = err.Error()
-	default:
-		run.state = StateFailed
+	run.state = finalState(ctx, err, results)
+	if err != nil {
 		run.err = err.Error()
 	}
 	state, errMsg, userCancelled := run.state, run.err, run.userCancelled
@@ -1300,10 +1291,7 @@ func (r *serverRun) statusLocked(includeResults bool) RunStatus {
 		Resumed:   r.resumed,
 		StartedAt: r.started,
 	}
-	if !r.finished.IsZero() {
-		fin := r.finished
-		st.FinishedAt = &fin
-	}
+	st.FinishedAt, st.WallMs = jobTimes(r.started, r.finished)
 	for name := range r.running {
 		st.Running = append(st.Running, name)
 	}
@@ -1317,11 +1305,6 @@ func (r *serverRun) statusLocked(includeResults bool) RunStatus {
 			st.Samples += res.Samples
 		}
 	}
-	end := r.finished
-	if end.IsZero() {
-		end = time.Now()
-	}
-	st.WallMs = end.Sub(r.started).Milliseconds()
 	st.Error = r.err
 	if includeResults || r.state != StateRunning {
 		if r.final != nil {
@@ -1538,28 +1521,29 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 //	  result}]} -> {"accepted": N, "requeued": M}; 410 if the lease
 //	  expired (its jobs were re-queued; the worker drops the batch)
 //
-// A job is (run_id, experiment, samples, seed, short) — everything a
-// worker needs to reproduce the exact bytes a local execution would
-// have produced, thanks to positional seed derivation.  Litmus shard
-// jobs ride the same leases with a "litmus" payload instead: the shard
-// descriptor (arch, generator seed/count, trials, seed, index range)
-// from which the worker regenerates its slice of the batch.
+// A job carries everything a worker needs to reproduce the exact bytes a
+// local execution would have produced, thanks to positional seed
+// derivation.  It has one payload: an experiment job is (run_id,
+// experiment, samples, seed, short, adaptive); a litmus shard job
+// carries a "litmus" shard descriptor (arch, generator seed/count,
+// trials, seed, index range) from which the worker regenerates its slice
+// of the batch; an optimizer-cell job carries an "optimize" cell
+// descriptor from which the worker re-derives the cell's gate or
+// measurement.
 
-// wireJob is one leased job on the wire: an experiment job, or — when
-// Litmus is non-nil — a litmus shard job (Experiment then carries the
-// shard name and the samples/seed/short fields are unused).
+// wireJob is one leased job on the wire, the wire form of a Job: an
+// experiment job, or — when Litmus or Optimize is non-nil — a litmus
+// shard or optimizer-cell job (Experiment then carries the shard or cell
+// name and the samples/seed/short fields are unused).
 type wireJob struct {
-	RunID      string        `json:"run_id"`
-	Experiment string        `json:"experiment"`
-	Samples    int           `json:"samples,omitempty"`
-	Seed       int64         `json:"seed,omitempty"`
-	Short      bool          `json:"short"`
-	Adaptive   *AdaptiveSpec `json:"adaptive,omitempty"`
-	Litmus     *LitmusShard  `json:"litmus,omitempty"`
-	// Optimize carries an optimizer-cell job (Experiment then holds the
-	// cell name): the cell descriptor from which the worker re-derives
-	// the exact gate or measurement a local execution would run.
-	Optimize *optimize.Cell `json:"optimize,omitempty"`
+	RunID      string         `json:"run_id"`
+	Experiment string         `json:"experiment"`
+	Samples    int            `json:"samples,omitempty"`
+	Seed       int64          `json:"seed,omitempty"`
+	Short      bool           `json:"short"`
+	Adaptive   *AdaptiveSpec  `json:"adaptive,omitempty"`
+	Litmus     *LitmusShard   `json:"litmus,omitempty"`
+	Optimize   *optimize.Cell `json:"optimize,omitempty"`
 }
 
 // leaseRequest is the body of POST /api/v1/leases.
@@ -1585,10 +1569,6 @@ type wireJobResult struct {
 }
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
-	if s.disp == nil {
-		writeErr(w, http.StatusServiceUnavailable, ErrCodeUnavailable, "dispatch backend disabled on this server")
-		return
-	}
 	var req leaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument, "bad lease request: %v", err)
@@ -1601,25 +1581,22 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	id, ttl, jobs := s.disp.Lease(req.Worker, req.MaxJobs)
 	grant := leaseGrant{LeaseID: id, TTLMs: ttl.Milliseconds(), Jobs: []wireJob{}}
 	for _, j := range jobs {
-		grant.Jobs = append(grant.Jobs, wireJob{
-			RunID:      j.runID,
-			Experiment: j.name,
-			Samples:    j.opts.Samples,
-			Seed:       j.opts.Seed,
-			Short:      j.opts.Short,
-			Adaptive:   SpecFromRule(j.opts.Adaptive),
-			Litmus:     j.litmus,
-			Optimize:   j.optimize,
-		})
+		wj := wireJob{RunID: j.runID, Experiment: j.Name}
+		switch p := j.Payload.(type) {
+		case ExperimentJob:
+			wj.Samples, wj.Seed, wj.Short, wj.Adaptive = p.Samples, p.Seed, p.Short, SpecFromRule(p.Adaptive)
+		case LitmusShard:
+			wj.Litmus = &p
+		case OptimizeCell:
+			cell := optimize.Cell(p)
+			wj.Optimize = &cell
+		}
+		grant.Jobs = append(grant.Jobs, wj)
 	}
 	writeJSON(w, http.StatusOK, grant)
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if s.disp == nil {
-		writeErr(w, http.StatusServiceUnavailable, ErrCodeUnavailable, "dispatch backend disabled on this server")
-		return
-	}
 	id := r.PathValue("id")
 	ttl, ok := s.disp.Heartbeat(id)
 	if !ok {
@@ -1630,10 +1607,6 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLeaseResults(w http.ResponseWriter, r *http.Request) {
-	if s.disp == nil {
-		writeErr(w, http.StatusServiceUnavailable, ErrCodeUnavailable, "dispatch backend disabled on this server")
-		return
-	}
 	id := r.PathValue("id")
 	var req struct {
 		Results []wireJobResult `json:"results"`

@@ -311,12 +311,16 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestServerShutdown verifies the shutdown ordering fix: Shutdown
-// cancels an in-flight run, waits for its executor, and afterwards
-// closing the engine does not panic with a send on a closed channel.
+// cancels every in-flight job — a run, a litmus campaign and an
+// optimizer job — waits for their executors, and afterwards closing the
+// engine does not panic with a send on a closed channel.
 func TestServerShutdown(t *testing.T) {
 	ts, api, eng := newTestServerOpts(t, ServerOptions{Parallel: 2})
 	// txt1 at full size is minutes of work; shutdown must not wait for it.
 	id := postRun(t, ts, `{"experiments": ["txt1"], "seed": 3}`)
+	// The campaign's shards and the optimizer's cells queue behind it.
+	campaign := submitLitmus(t, ts, client.LitmusSpec{Arch: "armv8", Count: 1000, Trials: 400})
+	opt := submitOptimize(t, ts, optSpecJSON)
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -338,6 +342,20 @@ func TestServerShutdown(t *testing.T) {
 	}
 	if st.State != StateCancelled {
 		t.Errorf("run state after shutdown = %q, want %q", st.State, StateCancelled)
+	}
+	lst, err := testClient(ts).Litmus(context.Background(), campaign.ID, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lst.State != StateCancelled {
+		t.Errorf("litmus campaign state after shutdown = %q, want %q", lst.State, StateCancelled)
+	}
+	ost, err := testClient(ts).Optimize(context.Background(), opt.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ost.State != StateCancelled {
+		t.Errorf("optimize job state after shutdown = %q, want %q", ost.State, StateCancelled)
 	}
 
 	// New submissions are refused.

@@ -10,11 +10,17 @@ import (
 	"time"
 )
 
-// postTenantRun submits a spec with an explicit X-WMM-Tenant header and
-// returns the raw response (callers close the body / decode it).
+// postTenantRun submits a run spec with an explicit X-WMM-Tenant header
+// and returns the raw response (callers close the body / decode it).
 func postTenantRun(t *testing.T, url, tenant, spec string) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url+"/api/v1/runs", strings.NewReader(spec))
+	return postTenantJob(t, url+"/api/v1/runs", tenant, spec)
+}
+
+// postTenantJob is postTenantRun for any job resource's submit URL.
+func postTenantJob(t *testing.T, url, tenant, spec string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +68,9 @@ func TestFairShareDequeueOrder(t *testing.T) {
 	enqueue := func(tenant string, n int) {
 		for i := 0; i < n; i++ {
 			d.push(&dispatchJob{
+				Job:    Job{Name: fmt.Sprintf("%s-%d", tenant, i)},
 				runID:  fmt.Sprintf("%s-run", tenant),
 				tenant: tenant,
-				name:   fmt.Sprintf("%s-%d", tenant, i),
 				ctx:    context.Background(),
 			})
 		}
@@ -120,7 +126,7 @@ func TestFairShareDequeueOrder(t *testing.T) {
 func TestFairShareNoStarvation(t *testing.T) {
 	ts, _, _ := newTestServerOpts(t, ServerOptions{
 		Parallel: 1,
-		Dispatch: &DispatchOptions{LocalSlots: 1},
+		Dispatch: DispatchOptions{LocalSlots: 1},
 	})
 
 	var noisy []string
@@ -166,7 +172,7 @@ func TestFairShareNoStarvation(t *testing.T) {
 func TestTenantQueueQuota(t *testing.T) {
 	ts, _, _ := newTestServerOpts(t, ServerOptions{
 		Parallel: 1,
-		Dispatch: &DispatchOptions{LocalSlots: 1, TenantMaxQueued: 1, RetryAfter: time.Second},
+		Dispatch: DispatchOptions{LocalSlots: 1, TenantMaxQueued: 1, RetryAfter: time.Second},
 	})
 
 	// txt1 at full size pins the tenant's single quota slot for minutes.
@@ -209,21 +215,34 @@ func TestTenantQueueQuota(t *testing.T) {
 }
 
 // TestTenantRunningQuota verifies the server-level bound on concurrently
-// executing runs per tenant, independent of queue depth.
+// executing jobs per tenant, independent of queue depth: a run, a litmus
+// campaign and an optimizer job all take a slot of the same quota.
 func TestTenantRunningQuota(t *testing.T) {
 	ts, _, _ := newTestServerOpts(t, ServerOptions{
 		Parallel:         1,
 		TenantMaxRunning: 1,
-		Dispatch:         &DispatchOptions{LocalSlots: 1},
+		Dispatch:         DispatchOptions{LocalSlots: 1},
 	})
 
 	id := submitTenantRun(t, ts.URL, "capped", `{"experiments": ["txt1"], "seed": 3}`)
-	resp := postTenantRun(t, ts.URL, "capped", `{"experiments": ["fig4"], "short": true, "samples": 1, "seed": 3}`)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		resp.Body.Close()
-		t.Fatalf("second running submit = %d, want 429", resp.StatusCode)
+	optSpec, err := json.Marshal(optSpecJSON)
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp.Body.Close()
+	for path, spec := range map[string]string{
+		"/api/v1/runs":     `{"experiments": ["fig4"], "short": true, "samples": 1, "seed": 3}`,
+		"/api/v1/litmus":   `{"arch": "armv8", "count": 4, "trials": 4}`,
+		"/api/v1/optimize": string(optSpec),
+	} {
+		resp := postTenantJob(t, ts.URL+path, "capped", spec)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			resp.Body.Close()
+			t.Fatalf("%s while capped is running = %d, want 429", path, resp.StatusCode)
+		}
+		if _, msg := decodeEnvelope(t, resp); !strings.Contains(msg, "1 jobs executing") {
+			t.Errorf("%s refusal = %q, want it to count executing jobs", path, msg)
+		}
+	}
 
 	// A different tenant is not affected by capped's quota.
 	other := submitTenantRun(t, ts.URL, "free", `{"experiments": ["fig4"], "short": true, "samples": 1, "seed": 5}`)
@@ -244,7 +263,7 @@ func TestTenantRunningQuota(t *testing.T) {
 // X-WMM-Tenant header beats the spec field, the spec field beats the
 // default, and malformed names are 400s, not silent fallbacks.
 func TestTenantResolution(t *testing.T) {
-	ts, _, _ := newTestServerOpts(t, ServerOptions{Parallel: 1, Dispatch: &DispatchOptions{LocalSlots: 1}})
+	ts, _, _ := newTestServerOpts(t, ServerOptions{Parallel: 1, Dispatch: DispatchOptions{LocalSlots: 1}})
 
 	// Header wins over the spec field.
 	id := submitTenantRun(t, ts.URL, "header-team",
@@ -281,7 +300,7 @@ func TestTenantResolution(t *testing.T) {
 func TestLitmusTenantQuota(t *testing.T) {
 	ts, _, _ := newTestServerOpts(t, ServerOptions{
 		Parallel: 1,
-		Dispatch: &DispatchOptions{LocalSlots: 1, TenantMaxQueued: 2},
+		Dispatch: DispatchOptions{LocalSlots: 1, TenantMaxQueued: 2},
 	})
 
 	// One run holding a quota slot...

@@ -42,7 +42,7 @@ func RepeatedSweep(short bool) (SweepReport, error) {
 	cache := resultcache.New(resultcache.Options{Registry: eng.Metrics()})
 	api := engine.NewServer(eng, engine.ServerOptions{
 		Parallel: 2,
-		Dispatch: &engine.DispatchOptions{Cache: cache},
+		Dispatch: engine.DispatchOptions{Cache: cache},
 	})
 	ts := httptest.NewServer(api.Handler())
 	defer ts.Close()

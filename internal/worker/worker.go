@@ -147,53 +147,15 @@ func runBatch(ctx context.Context, cl *client.Client, id string, eng *engine.Eng
 			break
 		}
 		logger.Printf("worker %s: executing %s/%s", id, job.RunID, job.Experiment)
+		ej, err := engineJob(job)
 		var res *engine.Result
-		var err error
-		if job.Litmus != nil {
-			// Litmus shard: regenerate the batch from the descriptor and
-			// run this worker's slice — no programs cross the wire.
-			res, err = engine.RunLitmusShard(batchCtx, engine.LitmusShard{
-				Arch:       job.Litmus.Arch,
-				GenSeed:    job.Litmus.GenSeed,
-				Count:      job.Litmus.Count,
-				MaxThreads: job.Litmus.MaxThreads,
-				Trials:     job.Litmus.Trials,
-				Seed:       job.Litmus.Seed,
-				Lo:         job.Litmus.Lo,
-				Hi:         job.Litmus.Hi,
-			})
-		} else if len(job.Optimize) > 0 {
-			// Optimizer cell: the client carries the descriptor opaquely;
-			// decode it here, where the engine's types are available, and
-			// re-derive the gate or measurement from the spec.
-			var cell optimize.Cell
-			if derr := json.Unmarshal(job.Optimize, &cell); derr != nil {
-				err = fmt.Errorf("undecodable optimize cell: %w", derr)
-			} else {
-				res, err = engine.RunOptimizeCell(batchCtx, cell)
-			}
-		} else {
-			opts := engine.RunOptions{
-				Samples: job.Samples,
-				Seed:    job.Seed,
-				Short:   job.Short,
-			}
-			if job.Adaptive != nil {
-				// Same normalisation as the coordinator: the stop decision
-				// is a pure function of positionally-seeded samples, so the
-				// worker stops at the same n with the same values.
-				opts.Adaptive = (&engine.AdaptiveSpec{
-					RelPrecision: job.Adaptive.RelPrecision,
-					MinSamples:   job.Adaptive.MinSamples,
-					MaxSamples:   job.Adaptive.MaxSamples,
-				}).Rule()
-			}
-			res, err = eng.RunExperiment(batchCtx, job.Experiment, opts)
+		if err == nil {
+			res, err = engine.RunJob(batchCtx, eng, ej)
 		}
 		if err != nil {
-			// Unknown experiment or malformed shard — a protocol-level
-			// mismatch, not an execution failure.  Skip it; the
-			// coordinator re-queues.
+			// Unknown experiment, malformed shard or cell — a
+			// protocol-level mismatch, not an execution failure.  Skip
+			// it; the coordinator re-queues.
 			logger.Printf("worker %s: %s/%s: %v", id, job.RunID, job.Experiment, err)
 			continue
 		}
@@ -231,6 +193,49 @@ func runBatch(ctx context.Context, cl *client.Client, id string, eng *engine.Eng
 	}
 	logger.Printf("worker %s: lease %s settled: %d accepted, %d requeued",
 		id, grant.LeaseID, ack.Accepted, ack.Requeued)
+}
+
+// engineJob converts a leased job to the engine's form: one payload,
+// picked by which wire field the coordinator filled in.
+func engineJob(job client.Job) (engine.Job, error) {
+	ej := engine.Job{Name: job.Experiment}
+	switch {
+	case job.Litmus != nil:
+		// Litmus shard: the worker regenerates the batch from the
+		// descriptor and runs its slice — no programs cross the wire.
+		ej.Payload = engine.LitmusShard{
+			Arch:       job.Litmus.Arch,
+			GenSeed:    job.Litmus.GenSeed,
+			Count:      job.Litmus.Count,
+			MaxThreads: job.Litmus.MaxThreads,
+			Trials:     job.Litmus.Trials,
+			Seed:       job.Litmus.Seed,
+			Lo:         job.Litmus.Lo,
+			Hi:         job.Litmus.Hi,
+		}
+	case len(job.Optimize) > 0:
+		// Optimizer cell: the client carries the descriptor opaquely;
+		// decode it here, where the engine's types are available.
+		var cell optimize.Cell
+		if err := json.Unmarshal(job.Optimize, &cell); err != nil {
+			return ej, fmt.Errorf("undecodable optimize cell: %w", err)
+		}
+		ej.Payload = engine.OptimizeCell(cell)
+	default:
+		exp := engine.ExperimentJob{Samples: job.Samples, Seed: job.Seed, Short: job.Short}
+		if job.Adaptive != nil {
+			// Same normalisation as the coordinator: the stop decision is
+			// a pure function of positionally-seeded samples, so the
+			// worker stops at the same n with the same values.
+			exp.Adaptive = (&engine.AdaptiveSpec{
+				RelPrecision: job.Adaptive.RelPrecision,
+				MinSamples:   job.Adaptive.MinSamples,
+				MaxSamples:   job.Adaptive.MaxSamples,
+			}).Rule()
+		}
+		ej.Payload = exp
+	}
+	return ej, nil
 }
 
 // sleep waits for d or ctx, reporting whether the full wait elapsed.

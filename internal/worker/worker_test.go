@@ -26,10 +26,11 @@ var e2eSpec = client.RunSpec{
 	Parallel:    2,
 }
 
-// newCoordinator builds a wmmd-equivalent server.  With dispatch set,
-// runs shard onto the job queue; LocalSlots -1 makes it a pure
-// coordinator that depends entirely on leased workers.
-func newCoordinator(t *testing.T, dispatch *engine.DispatchOptions) *httptest.Server {
+// newCoordinator builds a wmmd-equivalent server.  Runs shard onto the
+// job queue; the zero options serve them from local slots like a plain
+// wmmd, and LocalSlots -1 makes it a pure coordinator that depends
+// entirely on leased workers.
+func newCoordinator(t *testing.T, dispatch engine.DispatchOptions) *httptest.Server {
 	t.Helper()
 	eng := engine.New(engine.Options{Workers: 2})
 	t.Cleanup(eng.Close)
@@ -128,13 +129,13 @@ func metricValue(t *testing.T, ts *httptest.Server, series string) float64 {
 // to a coordinator with no local execution produces canonical JSON
 // byte-identical to the same spec run on a plain local server.
 func TestDistributedCanonicalIdentity(t *testing.T) {
-	// Baseline: the original in-process path, no dispatcher at all.
-	tsLocal := newCoordinator(t, nil)
+	// Baseline: a plain local server running every job in its own slots.
+	tsLocal := newCoordinator(t, engine.DispatchOptions{})
 	want := canonical(t, tsLocal, runToDone(t, tsLocal, e2eSpec, 2*time.Minute))
 
 	// Distributed: coordinator with zero local slots + two workers, each
 	// with its own engine — every experiment executes remotely.
-	tsDist := newCoordinator(t, &engine.DispatchOptions{LocalSlots: -1, MaxBatch: 1})
+	tsDist := newCoordinator(t, engine.DispatchOptions{LocalSlots: -1, MaxBatch: 1})
 	startWorker(t, tsDist, "w1")
 	startWorker(t, tsDist, "w2")
 	id := runToDone(t, tsDist, e2eSpec, 2*time.Minute)
@@ -196,10 +197,10 @@ func TestDistributedLitmusIdentity(t *testing.T) {
 		return raw
 	}
 
-	tsLocal := newCoordinator(t, nil)
+	tsLocal := newCoordinator(t, engine.DispatchOptions{})
 	want := canonicalLitmus(tsLocal, litmusToDone(tsLocal))
 
-	tsDist := newCoordinator(t, &engine.DispatchOptions{LocalSlots: -1, MaxBatch: 2})
+	tsDist := newCoordinator(t, engine.DispatchOptions{LocalSlots: -1, MaxBatch: 2})
 	startWorker(t, tsDist, "w1")
 	startWorker(t, tsDist, "w2")
 	got := canonicalLitmus(tsDist, litmusToDone(tsDist))
@@ -259,10 +260,10 @@ func TestDistributedOptimizeIdentity(t *testing.T) {
 		return raw
 	}
 
-	tsLocal := newCoordinator(t, nil)
+	tsLocal := newCoordinator(t, engine.DispatchOptions{})
 	want := canonicalOptimize(tsLocal, optimizeToDone(tsLocal))
 
-	tsDist := newCoordinator(t, &engine.DispatchOptions{LocalSlots: -1, MaxBatch: 2})
+	tsDist := newCoordinator(t, engine.DispatchOptions{LocalSlots: -1, MaxBatch: 2})
 	startWorker(t, tsDist, "w1")
 	startWorker(t, tsDist, "w2")
 	got := canonicalOptimize(tsDist, optimizeToDone(tsDist))
@@ -281,10 +282,10 @@ func TestDistributedOptimizeIdentity(t *testing.T) {
 // re-queues the lost work, a healthy worker completes the run, and the
 // result is still byte-identical to a local run.
 func TestLeaseExpiryRequeue(t *testing.T) {
-	tsLocal := newCoordinator(t, nil)
+	tsLocal := newCoordinator(t, engine.DispatchOptions{})
 	want := canonical(t, tsLocal, runToDone(t, tsLocal, e2eSpec, 2*time.Minute))
 
-	tsDist := newCoordinator(t, &engine.DispatchOptions{
+	tsDist := newCoordinator(t, engine.DispatchOptions{
 		LocalSlots: -1,
 		LeaseTTL:   300 * time.Millisecond,
 		SweepEvery: 20 * time.Millisecond,
@@ -351,7 +352,7 @@ func TestLeaseExpiryRequeue(t *testing.T) {
 // already expired answers 410 lease_gone, and the run's results are
 // unaffected.
 func TestWorkerLateUploadDropped(t *testing.T) {
-	tsDist := newCoordinator(t, &engine.DispatchOptions{
+	tsDist := newCoordinator(t, engine.DispatchOptions{
 		LocalSlots: -1,
 		LeaseTTL:   100 * time.Millisecond,
 		SweepEvery: 10 * time.Millisecond,
