@@ -3,10 +3,13 @@ package engine
 import (
 	"context"
 	"net/http/httptest"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/runstore"
 	"repro/wmm/client"
 )
 
@@ -121,18 +124,28 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// TestLitmusRetentionGC is the leak regression test for async jobs:
-// before the sweep covered them, finished litmus campaigns (and their
-// per-shard outputs) lived forever in a server with -retain set.  For
-// every async-job kind, a finished job must be removed once retention
-// lapses, and the removal must be visible on the kind's swept counter
-// (wmm_litmus_runs_swept_total, wmm_optimize_runs_swept_total).
-func TestLitmusRetentionGC(t *testing.T) {
+// TestJobRetentionGC is the leak regression test for the retention
+// sweep: before it covered every kind, finished litmus campaigns (and
+// their per-shard outputs) lived forever in a server with -retain set.
+// For every job kind, a finished job must be removed once retention
+// lapses, the removal must be visible on the kind's swept counter
+// (wmm_runs_swept_total, wmm_litmus_runs_swept_total,
+// wmm_optimize_runs_swept_total), and a run must also leave the store so
+// a restart does not resurrect it.
+func TestJobRetentionGC(t *testing.T) {
 	for _, tc := range []struct {
 		kind   *jobKind
 		submit func(t *testing.T, ts *httptest.Server) string
 		status func(cl *client.Client, id string) error
 	}{
+		{runKind, func(t *testing.T, ts *httptest.Server) string {
+			id := postRun(t, ts, `{"experiments": ["fig4"], "short": true, "samples": 1, "seed": 3}`)
+			waitState(t, ts, id, 2*time.Minute)
+			return id
+		}, func(cl *client.Client, id string) error {
+			_, err := cl.Run(context.Background(), id, false)
+			return err
+		}},
 		{litmusKind, func(t *testing.T, ts *httptest.Server) string {
 			sub := submitLitmus(t, ts, litmusSpecJSON)
 			waitLitmus(t, ts, sub.ID)
@@ -151,15 +164,19 @@ func TestLitmusRetentionGC(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.kind.name, func(t *testing.T) {
-			ts, api, _ := newTestServerOpts(t, ServerOptions{
-				Parallel: 2, Retain: 50 * time.Millisecond, SweepEvery: time.Hour,
-			})
+			store, err := runstore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { store.Close() })
+			// An hour's retention keeps the background sweep (every
+			// minute) out of the way; the test drives gc directly at a
+			// time far past it.
+			ts, api, _ := newTestServerOpts(t, ServerOptions{Parallel: 2, Retain: time.Hour, Store: store})
 			id := tc.submit(t, ts)
-
-			// Drive the sweep directly at a time far past retention, so the
-			// test does not depend on the background ticker.
-			time.Sleep(60 * time.Millisecond)
-			api.gc(time.Now().Add(time.Hour))
+			if n := api.gc(time.Now().Add(2 * time.Hour)); n != 1 {
+				t.Errorf("gc removed %d jobs, want 1", n)
+			}
 
 			if err := tc.status(testClient(ts), id); !client.IsNotFound(err) {
 				t.Fatalf("finished %s still present after retention lapsed: %v", tc.kind.noun, err)
@@ -167,6 +184,66 @@ func TestLitmusRetentionGC(t *testing.T) {
 			if swept := api.met.jobs[tc.kind.name].swept.Value(); swept != 1 {
 				t.Errorf("%s swept counter = %v, want 1", tc.kind.name, swept)
 			}
+			recs, err := store.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range recs {
+				t.Errorf("store still replays %s after the sweep", rec.ID)
+			}
 		})
 	}
+}
+
+// TestDispatchAssignRecordsDurableOnly is the regression test for
+// assignment records leaking into the run store: every leased litmus
+// shard and optimizer cell used to be written as an assign record under
+// its job's ID, leaving litmus-N/optimize-N files that nothing replays
+// or deletes.  Only durable kinds (runs) write assignment records;
+// wmm_dispatch_assignments_total still counts every assignment.
+func TestDispatchAssignRecordsDurableOnly(t *testing.T) {
+	dir := t.TempDir()
+	store, err := runstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	ts, api, _ := newTestServerOpts(t, ServerOptions{
+		Parallel: 2, Store: store, Dispatch: DispatchOptions{LocalSlots: -1},
+	})
+	lit := submitLitmus(t, ts, litmusSpecJSON)
+	opt := submitOptimize(t, ts, optSpecJSON)
+
+	cl := testClient(ts)
+	seen := map[string]bool{}
+	granted := 0
+	deadline := time.Now().Add(30 * time.Second)
+	for !seen[lit.ID] || !seen[opt.ID] {
+		if time.Now().After(deadline) {
+			t.Fatalf("leases never covered both jobs: saw %v", seen)
+		}
+		grant, err := cl.Lease(context.Background(), "w1", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range grant.Jobs {
+			seen[j.RunID] = true
+		}
+		granted += len(grant.Jobs)
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), litmusKind.name+"-") || strings.HasPrefix(e.Name(), optimizeKind.name+"-") {
+			t.Errorf("store holds %s for a kind that does not persist", e.Name())
+		}
+	}
+	if got := api.disp.met.assignments.Value(); got != float64(granted) {
+		t.Errorf("wmm_dispatch_assignments_total = %v, want %d (every leased job)", got, granted)
+	}
+	// Cleanup (api.Shutdown) cancels both jobs; the unfinished lease is
+	// written off.
 }

@@ -41,7 +41,8 @@ type DispatchOptions struct {
 	LocalSlots int
 	// LeaseTTL is how long a granted lease stays valid between
 	// heartbeats.  A lease not renewed within the TTL expires and its
-	// unfinished jobs are re-queued.  Default 15s.
+	// unfinished jobs are re-queued by the reaper, which runs every
+	// LeaseTTL/4 clamped to [10ms, 5s].  Default 15s.
 	LeaseTTL time.Duration
 	// MaxBatch bounds the jobs handed out per lease.  Default 4.
 	MaxBatch int
@@ -49,12 +50,6 @@ type DispatchOptions struct {
 	// leased, or executing locally).  A run whose jobs would exceed it
 	// is refused with ErrSaturated.  Default 1024.
 	MaxQueue int
-	// RetryAfter is the backpressure hint attached to saturation
-	// refusals.  Default 2s.
-	RetryAfter time.Duration
-	// SweepEvery is the lease-expiry reaper interval; LeaseTTL/4
-	// clamped to [10ms, 5s] if 0.
-	SweepEvery time.Duration
 	// TenantMaxQueued bounds one tenant's admitted-but-unfinished jobs;
 	// a run that would exceed it is refused with ErrTenantSaturated.
 	// 0 means only the global MaxQueue applies.
@@ -63,10 +58,6 @@ type DispatchOptions struct {
 	// weighted round-robin dequeue (default weight 1).  A tenant with
 	// weight 2 gets two dequeues per rotation where the others get one.
 	TenantWeights map[string]int
-	// OnAssign, when non-nil, observes every remote assignment (a job
-	// handed to a worker under a lease).  The server uses it to write
-	// assignment records to the run store.
-	OnAssign func(runID, experiment, worker string)
 	// Cache, when non-nil, is consulted before every job that carries a
 	// cache key is enqueued — experiment jobs (ResultKey) and optimizer
 	// cells (OptimizeCellKey): an identical job that already completed
@@ -89,18 +80,6 @@ func (o DispatchOptions) withDefaults(defaultSlots int) DispatchOptions {
 	}
 	if o.MaxQueue <= 0 {
 		o.MaxQueue = 1024
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = 2 * time.Second
-	}
-	if o.SweepEvery <= 0 {
-		o.SweepEvery = o.LeaseTTL / 4
-		if o.SweepEvery < 10*time.Millisecond {
-			o.SweepEvery = 10 * time.Millisecond
-		}
-		if o.SweepEvery > 5*time.Second {
-			o.SweepEvery = 5 * time.Second
-		}
 	}
 	return o
 }
@@ -200,29 +179,31 @@ type dispatchMetrics struct {
 	leasesExpired *metrics.Counter
 	leasesActive  *metrics.Gauge
 	requeues      *metrics.Counter // jobs returned to the queue from lost leases
-	rejected      *metrics.Counter // run submissions refused by admission control
+	assignments   *metrics.Counter // jobs assigned to remote workers
+	rejected      *metrics.Counter // submissions refused by admission control
 
 	tenantDepth    *metrics.Gauge   // queued jobs, by tenant
 	tenantInflight *metrics.Gauge   // admitted-not-finished jobs, by tenant
 	tenantDone     *metrics.Counter // finished jobs, by tenant
-	tenantRejected *metrics.Counter // quota refusals, by tenant and reason
+	tenantRejected *metrics.Counter // admission refusals, by tenant and reason
 }
 
 func newDispatchMetrics(r *metrics.Registry) *dispatchMetrics {
 	return &dispatchMetrics{
-		queueDepth:    r.Gauge("wmm_dispatch_queue_depth", "Experiment jobs waiting for a local slot or worker lease."),
-		inflight:      r.Gauge("wmm_dispatch_jobs_inflight", "Experiment jobs admitted and not yet finished (queued, leased, or executing)."),
-		jobsDone:      r.Counter("wmm_dispatch_jobs_completed_total", "Experiment jobs finished, by execution mode.", "mode"),
+		queueDepth:    r.Gauge("wmm_dispatch_queue_depth", "Dispatch jobs of every kind (experiments, litmus shards, optimizer cells) waiting for a local slot or worker lease."),
+		inflight:      r.Gauge("wmm_dispatch_jobs_inflight", "Dispatch jobs of every kind admitted and not yet finished (queued, leased, or executing)."),
+		jobsDone:      r.Counter("wmm_dispatch_jobs_completed_total", "Dispatch jobs of every kind finished, by execution mode.", "mode"),
 		leasesGranted: r.Counter("wmm_dispatch_leases_granted_total", "Job leases granted to workers."),
 		leasesExpired: r.Counter("wmm_dispatch_leases_expired_total", "Leases that expired without completing; their jobs were re-queued."),
 		leasesActive:  r.Gauge("wmm_dispatch_leases_active", "Leases currently outstanding."),
 		requeues:      r.Counter("wmm_dispatch_requeues_total", "Jobs re-queued from expired or partially completed leases."),
-		rejected:      r.Counter("wmm_dispatch_rejected_total", "Run submissions refused by admission control (429)."),
+		assignments:   r.Counter("wmm_dispatch_assignments_total", "Dispatch jobs of every kind assigned to remote workers under leases."),
+		rejected:      r.Counter("wmm_dispatch_rejected_total", "Submissions of every kind (runs, litmus campaigns, optimizer jobs) refused by queue admission control (429)."),
 
-		tenantDepth:    r.Gauge("wmm_tenant_queue_depth", "Experiment jobs waiting in a tenant's fair-share queue.", "tenant"),
-		tenantInflight: r.Gauge("wmm_tenant_jobs_inflight", "Experiment jobs admitted for a tenant and not yet finished.", "tenant"),
-		tenantDone:     r.Counter("wmm_tenant_jobs_completed_total", "Experiment jobs finished, by tenant.", "tenant"),
-		tenantRejected: r.Counter("wmm_tenant_rejected_total", "Submissions refused by quota, by tenant and reason.", "tenant", "reason"),
+		tenantDepth:    r.Gauge("wmm_tenant_queue_depth", "Dispatch jobs of every kind waiting in a tenant's fair-share queue.", "tenant"),
+		tenantInflight: r.Gauge("wmm_tenant_jobs_inflight", "Dispatch jobs of every kind admitted for a tenant and not yet finished.", "tenant"),
+		tenantDone:     r.Counter("wmm_tenant_jobs_completed_total", "Dispatch jobs of every kind finished, by tenant.", "tenant"),
+		tenantRejected: r.Counter("wmm_tenant_rejected_total", "Submissions of every kind refused by admission control, by tenant and reason.", "tenant", "reason"),
 	}
 }
 
@@ -259,6 +240,11 @@ type Dispatcher struct {
 	leaseSeq int
 	admitted int // jobs admitted, not yet finished
 
+	// onAssign observes every remote assignment (a job handed to a
+	// worker under a lease); the server writes assignment records with
+	// it.  Set once, before any lease is granted.
+	onAssign func(runID, name, worker string)
+
 	notify   chan struct{} // wakes one blocked local slot
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -290,9 +276,6 @@ func NewDispatcher(eng *Engine, o DispatchOptions, defaultSlots int) *Dispatcher
 func (d *Dispatcher) Close() {
 	d.stopOnce.Do(func() { close(d.stop) })
 }
-
-// RetryAfter is the backpressure hint for saturation refusals.
-func (d *Dispatcher) RetryAfter() time.Duration { return d.opt.RetryAfter }
 
 // weight returns a tenant's fair-share weight (>= 1).
 func (d *Dispatcher) weight(tenant string) int {
@@ -820,11 +803,12 @@ func (d *Dispatcher) Lease(worker string, max int) (id string, ttl time.Duration
 	d.met.leasesActive.Set(float64(len(d.leases)))
 	d.mu.Unlock()
 	d.met.leasesGranted.Inc()
+	d.met.assignments.Add(float64(len(granted)))
 
 	for _, j := range granted {
 		d.fireStarted(j)
-		if d.opt.OnAssign != nil {
-			d.opt.OnAssign(j.runID, j.Name, worker)
+		if d.onAssign != nil {
+			d.onAssign(j.runID, j.Name, worker)
 		}
 	}
 	return id, d.opt.LeaseTTL, granted
@@ -892,7 +876,7 @@ func (d *Dispatcher) Complete(id string, uploaded []CompletedJob) (accepted, req
 // reaper expires leases whose heartbeats stopped, re-queuing their
 // unfinished jobs so lost workers never lose work.
 func (d *Dispatcher) reaper() {
-	t := time.NewTicker(d.opt.SweepEvery)
+	t := time.NewTicker(min(max(d.opt.LeaseTTL/4, 10*time.Millisecond), 5*time.Second))
 	defer t.Stop()
 	for {
 		select {

@@ -78,7 +78,7 @@ func TestDispatchCanonicalIdentity(t *testing.T) {
 // and the "saturated" envelope code — and succeeds again once capacity
 // frees up, which the typed client rides out automatically.
 func TestAdmissionControl(t *testing.T) {
-	ts, _ := newDispatchServer(t, DispatchOptions{MaxQueue: 1, RetryAfter: time.Second})
+	ts, _ := newDispatchServer(t, DispatchOptions{MaxQueue: 1})
 	cl := testClient(ts)
 
 	// txt1 at full size pins the only queue slot for minutes.

@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
+	"net/http"
 	"time"
 
 	"repro/internal/arch"
@@ -50,9 +50,9 @@ type LitmusSpec struct {
 var litmusKind = &jobKind{name: "litmus", noun: "litmus campaign", unit: "shards", plan: planLitmus}
 
 // planLitmus validates a campaign and cuts it into shards.
-func planLitmus(body io.Reader, defaultParallel int) (jobPlan, error) {
+func planLitmus(r *http.Request, defaultParallel int) (jobPlan, error) {
 	var spec LitmusSpec
-	if err := json.NewDecoder(body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 		return jobPlan{}, err
 	}
 	spec = spec.withDefaults()
@@ -108,6 +108,8 @@ func (lw *litmusWork) drive(ctx context.Context, s *Server, j *asyncJob) ([]*Res
 	results, err := s.disp.Run(ctx, j.id, j.tenant, jobs, lw.spec.Parallel, j, j.admitted)
 	return results, func() { lw.final = results }, err
 }
+
+func (lw *litmusWork) started(string) {}
 
 func (lw *litmusWork) record(res *Result) { lw.completed = append(lw.completed, res) }
 

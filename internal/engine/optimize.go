@@ -5,7 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"io"
+	"net/http"
 	"strings"
 	"time"
 
@@ -66,9 +66,9 @@ var optimizeKind = &jobKind{name: "optimize", noun: "optimize job", unit: "cells
 // Admission control covers that wave; the scoring wave is sized by the
 // gate's verdicts and joins the queue when it exists, like lost-lease
 // requeues.
-func planOptimize(body io.Reader, defaultParallel int) (jobPlan, error) {
+func planOptimize(r *http.Request, defaultParallel int) (jobPlan, error) {
 	var spec OptimizeSpec
-	if err := json.NewDecoder(body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 		return jobPlan{}, err
 	}
 	spec = spec.withDefaults()
@@ -207,6 +207,8 @@ func (ow *optimizeWork) search(ctx context.Context, s *Server, j *asyncJob) (*op
 	}
 	return optimize.Assemble(sp, results)
 }
+
+func (ow *optimizeWork) started(string) {}
 
 // record updates the phase counters and best-so-far from a finished cell.
 func (ow *optimizeWork) record(res *Result) {

@@ -18,126 +18,11 @@ import (
 	"repro/internal/runstore"
 )
 
-// RunSpec is the body of POST /runs.
-type RunSpec struct {
-	// Experiments to run, in order; empty = the full evaluation in
-	// paper order.
-	Experiments []string `json:"experiments,omitempty"`
-	// Short selects the reduced sweep.
-	Short bool `json:"short"`
-	// Samples per measurement (0 = driver default).
-	Samples int `json:"samples,omitempty"`
-	// Seed is the base random seed (0 = 1).
-	Seed int64 `json:"seed,omitempty"`
-	// Parallel experiments in flight (0 = server default).
-	Parallel int `json:"parallel,omitempty"`
-	// TimeoutMs bounds the whole run; 0 = no deadline.
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// Adaptive opts in to sequential stopping: each measurement draws
-	// samples until its Student-t CI is tight enough (see stats.StopRule)
-	// instead of the fixed count.
-	Adaptive *AdaptiveSpec `json:"adaptive,omitempty"`
-	// NoCache bypasses the server's result cache for this run (also
-	// settable per-request with ?nocache=1): every job executes and
-	// nothing is committed.
-	NoCache bool `json:"nocache,omitempty"`
-	// Tenant names the fair-share queue and quota bucket the run is
-	// accounted to.  The X-WMM-Tenant request header takes precedence;
-	// empty means "default".  Tenancy never affects result bytes — the
-	// result cache deduplicates identical jobs across tenants.
-	Tenant string `json:"tenant,omitempty"`
-}
-
-// Run states.
-const (
-	StateRunning   = "running"
-	StateDone      = "done"
-	StateFailed    = "failed"
-	StateCancelled = "cancelled"
-	// StatePartial is a run that finished with a mix of successful and
-	// failed experiments: the failures are contained in their Results
-	// (status "failed"/"incomplete") instead of poisoning the whole run.
-	StatePartial = "partial"
-)
-
-// RunStatus is the snapshot served by GET /runs/{id}.  The id / kind /
-// state / tenant / started_at / finished_at header is the envelope
-// shared by every v1 job resource (runs, litmus, optimize).
-type RunStatus struct {
-	ID     string `json:"id"`
-	Kind   string `json:"kind"`
-	State  string `json:"state"`
-	Tenant string `json:"tenant,omitempty"`
-	// FinishedAt is set once the run leaves the running state.
-	FinishedAt *time.Time `json:"finished_at,omitempty"`
-	Spec       RunSpec    `json:"spec"`
-	Total      int        `json:"total"`
-	Completed  int        `json:"completed"`
-	Running    []string   `json:"running,omitempty"`
-	// Resumed marks a run restarted from a runstore checkpoint after a
-	// server restart.
-	Resumed bool `json:"resumed,omitempty"`
-	// Measurements and Samples aggregate the execution accounting of
-	// the experiments completed so far — the per-run counters behind
-	// the engine-wide wmm_engine_* series.
-	Measurements int       `json:"measurements"`
-	Samples      int       `json:"samples"`
-	Error        string    `json:"error,omitempty"`
-	StartedAt    time.Time `json:"started_at"`
-	WallMs       int64     `json:"wall_ms"`
-	Results      []*Result `json:"results,omitempty"`
-}
-
-// event is one progress record streamed by GET /runs/{id}?stream=1.
-type event struct {
-	Event      string `json:"event"` // "started" | "done" | "end"
-	Experiment string `json:"experiment,omitempty"`
-	Error      string `json:"error,omitempty"`
-	WallMs     int64  `json:"wall_ms,omitempty"`
-	State      string `json:"state,omitempty"` // on "end"
-	Completed  int    `json:"completed,omitempty"`
-	Total      int    `json:"total,omitempty"`
-}
-
-// serverRun is one submitted job.
-type serverRun struct {
-	id     string
-	srv    *Server
-	spec   RunSpec
-	total  int
-	cancel context.CancelFunc
-	// restored carries checkpointed results a resumed run must not
-	// re-execute (set once before execute starts, read-only after).
-	restored map[string]*Result
-	// admitted is the dispatch-queue reservation handleSubmit took for
-	// this run (0 for resumed runs, which bypass admission control).
-	admitted int
-
-	mu       sync.Mutex
-	state    string
-	started  time.Time
-	finished time.Time
-	running  map[string]bool
-	results  []*Result // completed experiments, in completion order
-	final    []*Result // full ordered set, once the run ends
-	err      string
-	subs     []chan event
-	resumed  bool
-	// userCancelled distinguishes an explicit DELETE from a
-	// shutdown-triggered cancellation: the former is a terminal outcome
-	// recorded in the store, the latter leaves the run interrupted so a
-	// restart resumes it.
-	userCancelled bool
-}
-
 // serverMetrics are the HTTP layer's instruments.
 type serverMetrics struct {
-	requests   *metrics.Counter   // method, path, code
-	latency    *metrics.Histogram // method, path
-	runs       *metrics.Counter   // lifecycle transitions, by state
-	runsActive *metrics.Gauge     // runs currently executing
-	runsKept   *metrics.Gauge     // runs retained in memory
-	runsSwept  *metrics.Counter   // runs removed by GC or DELETE
+	requests *metrics.Counter        // method, path, code
+	latency  *metrics.Histogram      // method, path
+	jobs     map[string]*kindMetrics // job-lifecycle instruments, by kind
 
 	checkpoints  *metrics.Counter // experiment results durably checkpointed
 	storeErrors  *metrics.Counter // failed store operations, by op
@@ -145,37 +30,42 @@ type serverMetrics struct {
 	runsResumed  *metrics.Counter // interrupted runs resumed on startup
 	runsRestored *metrics.Counter // finished runs replayed into the catalogue
 
-	assignments *metrics.Counter        // jobs assigned to remote workers
-	jobs        map[string]*kindMetrics // async-job instruments, by kind
-	cacheSwept  *metrics.Counter        // persisted cache entries removed by retention
-
-	tenantRuns     *metrics.Gauge   // jobs of every kind executing, by tenant
-	tenantRejected *metrics.Counter // refused submissions, by tenant and reason
+	cacheSwept *metrics.Counter // persisted cache entries removed by retention
+	tenantRuns *metrics.Gauge   // jobs of every kind executing, by tenant
 }
 
-// kindMetrics are one async-job kind's instruments.
+// kindMetrics are one job kind's instruments.  Only runs have the
+// active and kept gauges; the helpers skip a nil one.
 type kindMetrics struct {
-	runs  *metrics.Counter // lifecycle transitions, by state
-	swept *metrics.Counter // finished jobs removed by GC or DELETE
+	runs   *metrics.Counter // lifecycle transitions, by state
+	swept  *metrics.Counter // finished jobs removed by GC or DELETE
+	active *metrics.Gauge   // jobs executing
+	kept   *metrics.Gauge   // jobs held in the table
+}
+
+func (m *kindMetrics) executing(d float64) {
+	if m.active != nil {
+		m.active.Add(d)
+	}
+}
+
+func (m *kindMetrics) retained(d float64) {
+	if m.kept != nil {
+		m.kept.Add(d)
+	}
 }
 
 func newServerMetrics(r *metrics.Registry) *serverMetrics {
 	return &serverMetrics{
-		requests:   r.Counter("wmm_http_requests_total", "HTTP requests served, by route and status code.", "method", "path", "code"),
-		latency:    r.Histogram("wmm_http_request_seconds", "HTTP request latency, by route.", nil, "method", "path"),
-		runs:       r.Counter("wmm_runs_total", "Run lifecycle transitions (submitted/done/failed/cancelled/partial).", "state"),
-		runsActive: r.Gauge("wmm_runs_active", "Runs currently executing."),
-		runsKept:   r.Gauge("wmm_runs_retained", "Runs held in memory (running + finished awaiting retention)."),
-		runsSwept:  r.Counter("wmm_runs_swept_total", "Finished runs removed by the retention sweep or DELETE."),
-
-		checkpoints:  r.Counter("wmm_store_checkpoints_written_total", "Experiment results durably checkpointed to the run store."),
-		storeErrors:  r.Counter("wmm_store_errors_total", "Failed run-store operations, by operation.", "op"),
-		storeFenced:  r.Counter("wmm_store_fenced_writes_total", "Store mutations refused by the lease fencing token (this process was deposed)."),
-		runsResumed:  r.Counter("wmm_runs_resumed_total", "Interrupted runs resumed from the store on startup."),
-		runsRestored: r.Counter("wmm_runs_restored_total", "Finished runs replayed from the store into the catalogue."),
-
-		assignments: r.Counter("wmm_dispatch_assignments_total", "Experiment jobs assigned to remote workers under leases."),
+		requests: r.Counter("wmm_http_requests_total", "HTTP requests served, by route and status code.", "method", "path", "code"),
+		latency:  r.Histogram("wmm_http_request_seconds", "HTTP request latency, by route.", nil, "method", "path"),
 		jobs: map[string]*kindMetrics{
+			runKind.name: {
+				runs:   r.Counter("wmm_runs_total", "Run lifecycle transitions (submitted/done/failed/cancelled/partial).", "state"),
+				swept:  r.Counter("wmm_runs_swept_total", "Finished runs removed by the retention sweep or DELETE."),
+				active: r.Gauge("wmm_runs_active", "Runs currently executing."),
+				kept:   r.Gauge("wmm_runs_retained", "Runs held in memory (running + finished awaiting retention)."),
+			},
 			litmusKind.name: {
 				runs:  r.Counter("wmm_litmus_runs_total", "Litmus campaign lifecycle transitions (submitted/done/failed/cancelled/partial).", "state"),
 				swept: r.Counter("wmm_litmus_runs_swept_total", "Finished litmus campaigns removed by the retention sweep or DELETE."),
@@ -185,10 +75,15 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 				swept: r.Counter("wmm_optimize_runs_swept_total", "Finished optimizer jobs removed by the retention sweep or DELETE."),
 			},
 		},
-		cacheSwept: r.Counter("wmm_resultcache_persist_swept_total", "Persisted result-cache entries removed by the retention sweep."),
 
-		tenantRuns:     r.Gauge("wmm_tenant_runs_running", "Jobs (runs, litmus campaigns and optimizer jobs) currently executing, by tenant.", "tenant"),
-		tenantRejected: r.Counter("wmm_tenant_rejected_total", "Submissions refused by admission control, by tenant and reason.", "tenant", "reason"),
+		checkpoints:  r.Counter("wmm_store_checkpoints_written_total", "Experiment results durably checkpointed to the run store."),
+		storeErrors:  r.Counter("wmm_store_errors_total", "Failed run-store operations, by operation.", "op"),
+		storeFenced:  r.Counter("wmm_store_fenced_writes_total", "Store mutations refused by the lease fencing token (this process was deposed)."),
+		runsResumed:  r.Counter("wmm_runs_resumed_total", "Interrupted runs resumed from the store on startup."),
+		runsRestored: r.Counter("wmm_runs_restored_total", "Finished runs replayed from the store into the catalogue."),
+
+		cacheSwept: r.Counter("wmm_resultcache_persist_swept_total", "Persisted result-cache entries removed by the retention sweep."),
+		tenantRuns: r.Gauge("wmm_tenant_runs_running", "Jobs (runs, litmus campaigns and optimizer jobs) currently executing, by tenant.", "tenant"),
 	}
 }
 
@@ -198,13 +93,11 @@ type ServerOptions struct {
 	// does not choose its own (<= 0 falls back to the engine's worker
 	// count).
 	Parallel int
-	// Retain bounds how long a finished run stays queryable.  The
-	// retention sweep removes completed runs older than this; 0 keeps
-	// them forever (the pre-retention behaviour — a leak on a
-	// long-lived server).
+	// Retain bounds how long a finished job — run, litmus campaign or
+	// optimizer job — stays queryable.  The retention sweep, every
+	// Retain/4 clamped to [1s, 1m], removes finished jobs older than
+	// this; 0 keeps them forever (a leak on a long-lived server).
 	Retain time.Duration
-	// SweepEvery is the GC interval; Retain/4 clamped to [1s, 1m] if 0.
-	SweepEvery time.Duration
 	// Store, when non-nil, makes runs durable: specs and completed
 	// experiment results are checkpointed as they happen, and Restore
 	// replays them after a restart — resuming interrupted runs from
@@ -245,10 +138,11 @@ type ServerOptions struct {
 }
 
 // Server exposes the engine over HTTP: a queryable catalogue of
-// experiments and asynchronous, cancellable runs with streamed progress.
-// Wire its Handler into an http.Server (see cmd/wmmd) and call Shutdown
-// before Engine.Close — it cancels in-flight runs and waits for them,
-// so the engine's job channel is never closed mid-send.
+// experiments and asynchronous, cancellable jobs — experiment runs with
+// streamed progress, litmus campaigns and optimizer jobs.  Wire its
+// Handler into an http.Server (see cmd/wmmd) and call Shutdown before
+// Engine.Close — it cancels in-flight jobs and waits for them, so the
+// engine's job channel is never closed mid-send.
 type Server struct {
 	eng              *Engine
 	defaultParallel  int
@@ -264,14 +158,12 @@ type Server struct {
 	legacyWarn       sync.Once // one migration warning per process
 
 	mu            sync.Mutex
-	runs          map[string]*serverRun
-	seq           int
-	jobs          map[string]*asyncJob // litmus campaigns and optimizer jobs, by ID
-	jobSeq        map[string]int       // last async-job ID issued, by kind
+	jobs          map[string]*asyncJob // runs, litmus campaigns and optimizer jobs, by ID
+	jobSeq        map[string]int       // last job ID issued, by kind
 	tenantRunning map[string]int       // executing jobs of every kind, by tenant
 	closed        bool
 
-	active   sync.WaitGroup // one per executing run or async job
+	active   sync.WaitGroup // one per executing job
 	stopOnce sync.Once
 	stop     chan struct{} // closes to end the retention sweeper
 }
@@ -291,7 +183,6 @@ func NewServer(eng *Engine, o ServerOptions) *Server {
 		tenantMaxRunning: o.TenantMaxRunning,
 		onFenced:         o.OnFenced,
 		disableLegacy:    o.DisableLegacy,
-		runs:             map[string]*serverRun{},
 		jobs:             map[string]*asyncJob{},
 		jobSeq:           map[string]int{},
 		tenantRunning:    map[string]int{},
@@ -300,34 +191,18 @@ func NewServer(eng *Engine, o ServerOptions) *Server {
 	if s.store != nil {
 		// Continue the run-N sequence past anything already on disk so
 		// a restarted server never reuses an ID.
-		s.seq = s.store.MaxSeq()
-	}
-	if o.Dispatch.OnAssign == nil {
-		o.Dispatch.OnAssign = func(runID, experiment, worker string) {
-			s.met.assignments.Inc()
-			if s.store != nil {
-				if err := s.store.Assign(runID, experiment, worker); err != nil {
-					s.storeFailed("assign", err)
-				}
-			}
-		}
+		s.jobSeq[runKind.name] = s.store.MaxSeq()
 	}
 	s.disp = NewDispatcher(eng, o.Dispatch, o.Parallel)
+	s.disp.onAssign = s.assigned
 	if o.Retain > 0 || (o.CacheRetain > 0 && o.Store != nil) {
-		every := o.SweepEvery
+		// Sweep at a quarter of the retention (of CacheRetain when only
+		// it is set), clamped to [1s, 1m].
+		every := o.Retain / 4
 		if every <= 0 {
-			every = o.Retain / 4
-			if every <= 0 {
-				every = o.CacheRetain / 4
-			}
-			if every < time.Second {
-				every = time.Second
-			}
-			if every > time.Minute {
-				every = time.Minute
-			}
+			every = o.CacheRetain / 4
 		}
-		go s.sweep(every)
+		go s.sweep(min(max(every, time.Second), time.Minute))
 	}
 	return s
 }
@@ -346,163 +221,101 @@ func (s *Server) storeFailed(op string, err error) {
 	}
 }
 
-// specOrder is the request order of a spec's experiments: the names it
-// listed, or the full catalogue in paper order.
-func specOrder(spec RunSpec) []string {
-	if len(spec.Experiments) > 0 {
-		return spec.Experiments
+// durable reports whether j persists to the run store.
+func (s *Server) durable(j *asyncJob) bool { return s.store != nil && j.kind.durable }
+
+// begin persists a durable job's spec before any work happens, so a
+// crash at any later point leaves a resumable record.  Durability is
+// best-effort: a store failure degrades to the in-memory behaviour and
+// is counted — except a fenced write, which proves another coordinator
+// owns the store.  begin then reports false and the job must be refused,
+// because work accepted here could never be recorded and this process is
+// about to exit.
+func (s *Server) begin(j *asyncJob, spec any) bool {
+	if !s.durable(j) {
+		return true
 	}
-	var names []string
-	for _, e := range experiments.All() {
-		names = append(names, e.Name)
+	raw, err := json.Marshal(spec)
+	if err == nil {
+		err = s.store.Begin(j.id, raw, j.started)
 	}
-	return names
+	if err == nil {
+		return true
+	}
+	s.storeFailed("begin", err)
+	return !errors.Is(err, runstore.ErrFenced)
 }
 
-// tenant is the fair-share queue and quota bucket the run is accounted
-// to; runs recorded before tenancy carry none and belong to the default.
-func (r *serverRun) tenant() string {
-	if r.spec.Tenant == "" {
-		return DefaultTenant
+// checkpoint durably records one finished dispatch job of a durable job.
+// Results of any status are written (so a restored finished run is
+// complete), but only StatusOK checkpoints are reused on resume — failed
+// and cancelled experiments get a fresh attempt.  Store failures degrade
+// durability, never the job.
+func (s *Server) checkpoint(j *asyncJob, res *Result) {
+	if !s.durable(j) {
+		return
 	}
-	return r.spec.Tenant
-}
-
-// Restore replays the run store into the server.  Finished runs (those
-// with a terminal record) become queryable catalogue entries again;
-// interrupted runs — a spec with no terminal record, meaning the process
-// died or was shut down mid-run — are resumed from their last checkpoint.
-// Positional seed derivation makes the resumed portion produce the same
-// numbers it would have produced uninterrupted, so the final canonical
-// JSON is byte-identical.  Call Restore once, after NewServer and before
-// serving traffic.
-func (s *Server) Restore() (resumed, restored int, err error) {
-	if s.store == nil {
-		return 0, 0, nil
+	raw, err := json.Marshal(res)
+	if err == nil {
+		err = s.store.Checkpoint(j.id, res.Experiment, raw)
 	}
-	recs, err := s.store.Load()
 	if err != nil {
-		s.met.storeErrors.Inc("load")
-		return 0, 0, err
+		s.storeFailed("checkpoint", err)
+		return
 	}
-	for _, rec := range recs {
-		var spec RunSpec
-		if derr := json.Unmarshal(rec.Spec, &spec); derr != nil {
-			s.met.storeErrors.Inc("decode")
-			continue
-		}
-		order := specOrder(spec)
-
-		// Decode every checkpoint; an undecodable one is dropped
-		// (counted), which for an interrupted run just means that
-		// experiment re-executes.
-		byName := make(map[string]*Result, len(rec.Experiments))
-		var inOrder []*Result // checkpoint (completion) order
-		for _, exp := range rec.Experiments {
-			var res Result
-			if derr := json.Unmarshal(exp.Result, &res); derr != nil {
-				s.met.storeErrors.Inc("decode")
-				continue
-			}
-			byName[exp.Name] = &res
-			inOrder = append(inOrder, &res)
-		}
-
-		if rec.EndState != "" {
-			// Finished: replay into the catalogue, read-only.
-			run := &serverRun{
-				id:       rec.ID,
-				srv:      s,
-				spec:     spec,
-				total:    len(order),
-				cancel:   func() {},
-				state:    rec.EndState,
-				started:  rec.Started,
-				finished: rec.Finished,
-				running:  map[string]bool{},
-				err:      rec.EndError,
-				results:  inOrder,
-			}
-			if run.finished.IsZero() {
-				run.finished = run.started
-			}
-			// With the complete set on disk, final carries the results in
-			// request order, exactly as the live run returned them.
-			if len(byName) == len(order) {
-				final := make([]*Result, len(order))
-				complete := true
-				for i, name := range order {
-					if final[i] = byName[name]; final[i] == nil {
-						complete = false
-						break
-					}
-				}
-				if complete {
-					run.final = final
-				}
-			}
-			s.mu.Lock()
-			if _, ok := s.runs[rec.ID]; !ok {
-				s.runs[rec.ID] = run
-				restored++
-				s.met.runsKept.Set(float64(len(s.runs)))
-				s.mu.Unlock()
-				s.met.runsRestored.Inc()
-			} else {
-				s.mu.Unlock()
-			}
-			continue
-		}
-
-		// Interrupted: resume.  Only StatusOK checkpoints are reused;
-		// failed/cancelled/incomplete experiments get a fresh attempt.
-		completed := make(map[string]*Result, len(byName))
-		var kept []*Result
-		for _, res := range inOrder {
-			if res.Status == StatusOK {
-				completed[res.Experiment] = res
-				kept = append(kept, res)
-			}
-		}
-		// Any deadline restarts from now: the original budget cannot be
-		// reconstructed across a crash, and a fresh one errs on the side
-		// of letting the run finish.
-		ctx, cancel := jobContext(spec.TimeoutMs)
-		run := &serverRun{
-			id:       rec.ID,
-			srv:      s,
-			spec:     spec,
-			total:    len(order),
-			cancel:   cancel,
-			restored: completed,
-			state:    StateRunning,
-			started:  rec.Started,
-			running:  map[string]bool{},
-			results:  kept,
-			resumed:  true,
-		}
-		s.mu.Lock()
-		if _, ok := s.runs[rec.ID]; ok || s.closed {
-			s.mu.Unlock()
-			cancel()
-			continue
-		}
-		s.runs[rec.ID] = run
-		s.active.Add(1)
-		// Resumed runs bypass the running quota: abandoning checkpointed
-		// work is worse than a brief overshoot after failover.
-		s.tenantRunningAddLocked(run.tenant(), 1)
-		s.met.runsKept.Set(float64(len(s.runs)))
-		s.mu.Unlock()
-		s.met.runsActive.Add(1)
-		s.met.runsResumed.Inc()
-		resumed++
-		go s.execute(ctx, run)
-	}
-	return resumed, restored, nil
+	s.met.checkpoints.Inc()
 }
 
-// sweep periodically garbage-collects finished runs past retention.
+// end records a durable job's terminal state — except for a
+// shutdown-triggered cancellation, which deliberately leaves the job
+// interrupted in the store so the next startup resumes it from its
+// checkpoints.  An explicit DELETE is a user decision and stays terminal.
+func (s *Server) end(j *asyncJob, state, errMsg string, userCancelled bool) {
+	if !s.durable(j) {
+		return
+	}
+	s.mu.Lock()
+	closing := s.closed
+	s.mu.Unlock()
+	if state == StateCancelled && !userCancelled && closing {
+		return
+	}
+	if err := s.store.End(j.id, state, errMsg); err != nil {
+		s.storeFailed("end", err)
+	}
+}
+
+// forget accounts jobs already removed from the table; durable ones
+// leave the store too, or they would resurrect at the next restart.
+func (s *Server) forget(jobs ...*asyncJob) {
+	for _, j := range jobs {
+		m := s.met.jobs[j.kind.name]
+		m.swept.Inc()
+		m.retained(-1)
+		if s.durable(j) {
+			if err := s.store.Delete(j.id); err != nil {
+				s.storeFailed("delete", err)
+			}
+		}
+	}
+}
+
+// assigned records a dispatch job leased to a remote worker.  Only a
+// durable job's assignments are written: the store replays and deletes
+// records by job, so another kind's would be orphaned files.
+func (s *Server) assigned(id, name, worker string) {
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	if j == nil || !s.durable(j) {
+		return
+	}
+	if err := s.store.Assign(id, name, worker); err != nil {
+		s.storeFailed("assign", err)
+	}
+}
+
+// sweep periodically garbage-collects finished jobs past retention.
 func (s *Server) sweep(every time.Duration) {
 	t := time.NewTicker(every)
 	defer t.Stop()
@@ -516,29 +329,14 @@ func (s *Server) sweep(every time.Duration) {
 	}
 }
 
-// gc removes finished runs and async jobs whose retention has lapsed
-// (and persisted cache entries past their own retention), returning how
-// many runs were removed.
+// gc removes finished jobs of every kind whose retention has lapsed (and
+// persisted cache entries past their own retention), returning how many
+// jobs were removed.
 func (s *Server) gc(now time.Time) int {
-	var victims []string
+	var swept []*asyncJob
 	if s.retain > 0 {
 		cutoff := now.Add(-s.retain)
 		s.mu.Lock()
-		for id, run := range s.runs {
-			run.mu.Lock()
-			expired := run.state != StateRunning && run.finished.Before(cutoff)
-			run.mu.Unlock()
-			if expired {
-				victims = append(victims, id)
-			}
-		}
-		for _, id := range victims {
-			delete(s.runs, id)
-		}
-		// Async jobs age out under the same retention; being in-memory
-		// only, no store cleanup is involved — but the sweep is counted
-		// per kind so a leak here is observable.
-		var swept []*asyncJob
 		for id, j := range s.jobs {
 			j.mu.Lock()
 			expired := j.state != StateRunning && j.finished.Before(cutoff)
@@ -548,23 +346,8 @@ func (s *Server) gc(now time.Time) int {
 				swept = append(swept, j)
 			}
 		}
-		s.met.runsKept.Set(float64(len(s.runs)))
 		s.mu.Unlock()
-		if len(victims) > 0 {
-			s.met.runsSwept.Add(float64(len(victims)))
-		}
-		for _, j := range swept {
-			s.met.jobs[j.kind.name].swept.Inc()
-		}
-		// Expired runs leave the store too, or they would resurrect at the
-		// next restart.
-		if s.store != nil {
-			for _, id := range victims {
-				if err := s.store.Delete(id); err != nil {
-					s.storeFailed("delete", err)
-				}
-			}
-		}
+		s.forget(swept...)
 	}
 	// Persisted cache entries age out under their own (typically longer)
 	// retention: reuse is most valuable across restarts, but the cache/
@@ -574,20 +357,16 @@ func (s *Server) gc(now time.Time) int {
 			s.met.cacheSwept.Add(float64(swept))
 		}
 	}
-	return len(victims)
+	return len(swept)
 }
 
-// Shutdown stops accepting new jobs, cancels every in-flight run and
-// async job, and waits (bounded by ctx) for their executor goroutines
-// to finish.  After it returns nil, no run is mid-Measure, so
-// Engine.Close is safe.
+// Shutdown stops accepting new jobs, cancels every in-flight one, and
+// waits (bounded by ctx) for their executor goroutines to finish.  After
+// it returns nil, no run is mid-Measure, so Engine.Close is safe.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
-	cancels := make([]context.CancelFunc, 0, len(s.runs)+len(s.jobs))
-	for _, run := range s.runs {
-		cancels = append(cancels, run.cancel)
-	}
+	cancels := make([]context.CancelFunc, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		cancels = append(cancels, j.cancel)
 	}
@@ -922,8 +701,9 @@ func resolveTenant(w http.ResponseWriter, r *http.Request, specTenant string) (s
 	return tenant, true
 }
 
-// tenantAdmitRunning enforces the per-tenant running-run quota and, when
-// admitted, counts the run.  Callers must hold s.mu.
+// tenantAdmitRunningLocked enforces the per-tenant quota on executing
+// jobs of every kind and, when admitted, counts the job.  Callers must
+// hold s.mu.
 func (s *Server) tenantAdmitRunningLocked(tenant string) bool {
 	if s.tenantMaxRunning > 0 && s.tenantRunning[tenant] >= s.tenantMaxRunning {
 		return false
@@ -949,15 +729,14 @@ func (s *Server) tenantRunningDone(tenant string) {
 	s.mu.Unlock()
 }
 
+// retryAfterSecs is the backpressure hint (Retry-After) on every 429.
+const retryAfterSecs = 2
+
 // writeSaturated is the shared 429 envelope for queue and quota
 // refusals: Retry-After plus the standard error body.
-func (s *Server) writeSaturated(w http.ResponseWriter, format string, args ...any) {
-	retry := 1
-	if r := int(s.disp.RetryAfter().Seconds()); r > retry {
-		retry = r
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(retry))
-	args = append(args, retry)
+func writeSaturated(w http.ResponseWriter, format string, args ...any) {
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs))
+	args = append(args, retryAfterSecs)
 	writeErr(w, http.StatusTooManyRequests, ErrCodeSaturated, format+"; retry after %ds", args...)
 }
 
@@ -970,30 +749,34 @@ func jobContext(timeoutMs int64) (context.Context, context.CancelFunc) {
 	return context.WithCancel(context.Background())
 }
 
-// admitJob is the submit preamble shared by every job kind.  Admission
-// control first refuses work the dispatch queue cannot absorb — globally
-// or within the tenant's quota — with a Retry-After hint, before anything
-// is recorded: the reservation covers the job's first n dispatch jobs
-// (unit names them in the refusal) and is released job by job as they
-// finish.  Then, under s.mu, a closing server or a tenant already at its
-// running-jobs quota is refused; otherwise register records the job with
-// the cancel of the returned context.  A refusal releases what was taken
-// and writes its envelope (ok=false).
-func (s *Server) admitJob(w http.ResponseWriter, tenant, unit string, n int, timeoutMs int64, register func(context.CancelFunc)) (ctx context.Context, ok bool) {
+// admitJob is the submit preamble.  Admission control first refuses work
+// the dispatch queue cannot absorb — globally or within the tenant's
+// quota — with a Retry-After hint, before anything is recorded: the
+// reservation covers the job's first j.admitted dispatch jobs and is
+// released job by job as they finish.  Then, under s.mu, a closing
+// server or a tenant already at its running-jobs quota is refused;
+// otherwise the job takes the next ID of its kind and the cancel of the
+// returned context, and enters the table.  A refusal releases what was
+// taken and writes its envelope (ok=false).
+func (s *Server) admitJob(w http.ResponseWriter, j *asyncJob, timeoutMs int64) (ctx context.Context, ok bool) {
+	tenant, n, k := j.tenant, j.admitted, j.kind
 	switch err := s.disp.TryAdmit(tenant, n); err {
 	case nil:
 	case ErrTenantSaturated:
-		s.writeSaturated(w, "tenant %q queue quota exceeded (%d %s refused)", tenant, n, unit)
+		writeSaturated(w, "tenant %q queue quota exceeded (%d %s refused)", tenant, n, k.unit)
 		return nil, false
 	default:
-		s.writeSaturated(w, "dispatch queue saturated (%d %s refused)", n, unit)
+		writeSaturated(w, "dispatch queue saturated (%d %s refused)", n, k.unit)
 		return nil, false
 	}
 	ctx, cancel := jobContext(timeoutMs)
 	s.mu.Lock()
 	closed := s.closed
 	if !closed && s.tenantAdmitRunningLocked(tenant) {
-		register(cancel)
+		s.jobSeq[k.name]++
+		j.id = fmt.Sprintf("%s-%d", k.name, s.jobSeq[k.name])
+		j.cancel, j.started = cancel, time.Now()
+		s.addJobLocked(j)
 		s.active.Add(1)
 		s.mu.Unlock()
 		return ctx, true
@@ -1004,8 +787,8 @@ func (s *Server) admitJob(w http.ResponseWriter, tenant, unit string, n int, tim
 	if closed {
 		writeErr(w, http.StatusServiceUnavailable, ErrCodeUnavailable, "server shutting down")
 	} else {
-		s.met.tenantRejected.Inc(tenant, "tenant_running")
-		s.writeSaturated(w, "tenant %q already has %d jobs executing", tenant, s.tenantMaxRunning)
+		s.disp.met.tenantRejected.Inc(tenant, "tenant_running")
+		writeSaturated(w, "tenant %q already has %d jobs executing", tenant, s.tenantMaxRunning)
 	}
 	return nil, false
 }
@@ -1023,175 +806,6 @@ func finalState(ctx context.Context, err error, results []*Result) string {
 		return StatePartial
 	default:
 		return StateFailed
-	}
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec RunSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument, "bad run spec: %v", err)
-		return
-	}
-	if spec.Samples < 0 || spec.Seed < 0 || spec.Parallel < 0 || spec.TimeoutMs < 0 {
-		writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument,
-			"bad run spec: samples, seed, parallel and timeout_ms must be >= 0")
-		return
-	}
-	for _, name := range spec.Experiments {
-		if _, err := experiments.ByName(name); err != nil {
-			writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument, "%v", err)
-			return
-		}
-	}
-	if spec.Adaptive != nil {
-		if err := spec.Adaptive.Rule().Validate(); err != nil {
-			writeErr(w, http.StatusBadRequest, ErrCodeInvalidArgument, "bad adaptive spec: %v", err)
-			return
-		}
-	}
-	// ?nocache=1 is the per-request escape hatch: rerun even when an
-	// identical result is cached (e.g. to re-validate determinism).
-	if v := r.URL.Query().Get("nocache"); v == "1" || v == "true" {
-		spec.NoCache = true
-	}
-	if spec.Parallel <= 0 {
-		spec.Parallel = s.defaultParallel
-	}
-	tenant, ok := resolveTenant(w, r, spec.Tenant)
-	if !ok {
-		return
-	}
-	spec.Tenant = tenant // persist and echo the effective tenant
-
-	total := len(specOrder(spec))
-	var run *serverRun
-	ctx, ok := s.admitJob(w, tenant, "jobs", total, spec.TimeoutMs, func(cancel context.CancelFunc) {
-		s.seq++
-		run = &serverRun{
-			id:       fmt.Sprintf("run-%d", s.seq),
-			srv:      s,
-			spec:     spec,
-			total:    total,
-			cancel:   cancel,
-			admitted: total,
-			state:    StateRunning,
-			started:  time.Now(),
-			running:  map[string]bool{},
-		}
-		s.runs[run.id] = run
-		s.met.runsKept.Set(float64(len(s.runs)))
-	})
-	if !ok {
-		return
-	}
-
-	// Persist the spec before any work happens, so a crash at any later
-	// point leaves a resumable record.  Durability is best-effort: a
-	// store failure degrades to the in-memory behaviour and is counted —
-	// except a *fenced* write, which proves another coordinator owns the
-	// store: that refuses the run outright, because work accepted here
-	// could never be recorded and this process is about to exit.
-	if s.store != nil {
-		raw, err := json.Marshal(spec)
-		if err == nil {
-			err = s.store.Begin(run.id, raw, run.started)
-		}
-		if err != nil {
-			s.storeFailed("begin", err)
-			if errors.Is(err, runstore.ErrFenced) {
-				s.mu.Lock()
-				delete(s.runs, run.id)
-				s.met.runsKept.Set(float64(len(s.runs)))
-				s.tenantRunningAddLocked(tenant, -1)
-				s.mu.Unlock()
-				s.active.Done()
-				run.cancel()
-				s.disp.admitForce(tenant, -total)
-				writeErr(w, http.StatusServiceUnavailable, ErrCodeUnavailable,
-					"coordinator deposed: run store is fenced at a newer lease term")
-				return
-			}
-		}
-	}
-	s.met.runs.Inc("submitted")
-	s.met.runsActive.Add(1)
-
-	go s.execute(ctx, run)
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": run.id, "state": StateRunning, "total": total})
-}
-
-// execute drives the run to completion on its own goroutine: every
-// experiment not restored from a checkpoint becomes one experiment job
-// sharded through the dispatcher, and the checkpointed results fill in
-// the rest, in request order.
-func (s *Server) execute(ctx context.Context, run *serverRun) {
-	defer s.active.Done()
-	defer run.cancel()
-	tenant := run.tenant()
-	defer s.tenantRunningDone(tenant)
-
-	order := specOrder(run.spec)
-	exp := ExperimentJob{
-		Samples:  run.spec.Samples,
-		Seed:     run.spec.Seed,
-		Short:    run.spec.Short,
-		Adaptive: run.spec.Adaptive.Rule(),
-	}
-	var jobs []Job
-	for _, name := range order {
-		if run.restored[name] != nil {
-			continue
-		}
-		job := Job{Name: name, Payload: exp}
-		if !run.spec.NoCache {
-			job.CacheKey = ResultKey(name, RunOptions(exp))
-		}
-		jobs = append(jobs, job)
-	}
-	ran, err := s.disp.Run(ctx, run.id, tenant, jobs, run.spec.Parallel, (*runSink)(run), run.admitted)
-	results := make([]*Result, len(order))
-	for i, name := range order {
-		if results[i] = run.restored[name]; results[i] == nil {
-			results[i], ran = ran[0], ran[1:]
-		}
-	}
-
-	run.mu.Lock()
-	run.final = results
-	run.finished = time.Now()
-	run.state = finalState(ctx, err, results)
-	if err != nil {
-		run.err = err.Error()
-	}
-	state, errMsg, userCancelled := run.state, run.err, run.userCancelled
-	ev := event{Event: "end", State: run.state, Completed: len(run.results), Total: run.total}
-	subs := run.subs
-	run.subs = nil
-	run.mu.Unlock()
-	s.met.runs.Inc(state)
-	s.met.runsActive.Add(-1)
-
-	// Record the terminal state — except for a shutdown-triggered
-	// cancellation, which deliberately leaves the run interrupted in the
-	// store so the next startup resumes it from its checkpoints.  An
-	// explicit DELETE is a user decision and stays terminal.
-	if s.store != nil {
-		s.mu.Lock()
-		closing := s.closed
-		s.mu.Unlock()
-		if state != StateCancelled || userCancelled || !closing {
-			if err := s.store.End(run.id, state, errMsg); err != nil {
-				s.storeFailed("end", err)
-			}
-		}
-	}
-
-	for _, ch := range subs {
-		select {
-		case ch <- ev:
-		default: // dead reader with a full buffer; the close wakes it
-		}
-		close(ch)
 	}
 }
 
@@ -1213,144 +827,6 @@ func anyOK(rs []*Result) bool {
 	return false
 }
 
-// runSink adapts a serverRun to the engine's progress Sink.
-type runSink serverRun
-
-func (rs *runSink) ExperimentStarted(name string) {
-	r := (*serverRun)(rs)
-	r.broadcast(func() event {
-		r.running[name] = true
-		return event{Event: "started", Experiment: name}
-	})
-}
-
-func (rs *runSink) ExperimentDone(res *Result) {
-	r := (*serverRun)(rs)
-	r.broadcast(func() event {
-		delete(r.running, res.Experiment)
-		r.results = append(r.results, res)
-		return event{Event: "done", Experiment: res.Experiment, Error: res.Err,
-			WallMs: res.WallNs / int64(time.Millisecond), Completed: len(r.results), Total: r.total}
-	})
-	r.checkpoint(res)
-}
-
-// checkpoint durably records a completed experiment.  Results of any
-// status are written (so a restored finished run is complete), but only
-// StatusOK checkpoints are reused on resume — failed and cancelled
-// experiments get a fresh attempt.  Store failures degrade durability,
-// never the run.
-func (r *serverRun) checkpoint(res *Result) {
-	s := r.srv
-	if s == nil || s.store == nil {
-		return
-	}
-	raw, err := json.Marshal(res)
-	if err == nil {
-		err = s.store.Checkpoint(r.id, res.Experiment, raw)
-	}
-	if err != nil {
-		s.storeFailed("checkpoint", err)
-		return
-	}
-	s.met.checkpoints.Inc()
-}
-
-// broadcast applies a state mutation under the run's lock and fans the
-// resulting event out to stream subscribers.
-func (r *serverRun) broadcast(mutate func() event) {
-	r.mu.Lock()
-	ev := mutate()
-	subs := append([]chan event{}, r.subs...)
-	r.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- ev:
-		default: // a slow stream reader drops progress, never blocks the run
-		}
-	}
-}
-
-// status snapshots the run.
-func (r *serverRun) status(includeResults bool) RunStatus {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.statusLocked(includeResults)
-}
-
-// statusLocked builds the snapshot; r.mu must be held.
-func (r *serverRun) statusLocked(includeResults bool) RunStatus {
-	st := RunStatus{
-		ID:        r.id,
-		Kind:      "run",
-		State:     r.state,
-		Tenant:    r.spec.Tenant,
-		Spec:      r.spec,
-		Total:     r.total,
-		Completed: len(r.results),
-		Resumed:   r.resumed,
-		StartedAt: r.started,
-	}
-	st.FinishedAt, st.WallMs = jobTimes(r.started, r.finished)
-	for name := range r.running {
-		st.Running = append(st.Running, name)
-	}
-	counted := r.results
-	if r.final != nil {
-		counted = r.final
-	}
-	for _, res := range counted {
-		if res != nil {
-			st.Measurements += res.Measurements
-			st.Samples += res.Samples
-		}
-	}
-	st.Error = r.err
-	if includeResults || r.state != StateRunning {
-		if r.final != nil {
-			st.Results = r.final
-		} else {
-			st.Results = append([]*Result{}, r.results...)
-		}
-	}
-	return st
-}
-
-// subscribe atomically snapshots the run and, if it is still running,
-// registers ch for subsequent events.  Taking the snapshot under the
-// same lock that appends the subscriber is what makes the stream
-// exactly-once: an event is either reflected in the snapshot or
-// delivered on ch, never both and never neither.
-func (r *serverRun) subscribe(ch chan event) (snapshot RunStatus, subscribed bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	snapshot = r.statusLocked(false)
-	if r.state == StateRunning {
-		r.subs = append(r.subs, ch)
-		return snapshot, true
-	}
-	return snapshot, false
-}
-
-// unsubscribe removes ch from the run's subscriber list, if present.
-func (r *serverRun) unsubscribe(ch chan event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, sub := range r.subs {
-		if sub == ch {
-			r.subs = append(r.subs[:i], r.subs[i+1:]...)
-			return
-		}
-	}
-}
-
-func (s *Server) lookup(r *http.Request) (*serverRun, string) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runs[id], id
-}
-
 // runIDLess is the listing order: submission order for run-N IDs
 // (run-2 before run-10), length-then-lexicographic in general.
 func runIDLess(a, b string) bool {
@@ -1358,155 +834,6 @@ func runIDLess(a, b string) bool {
 		return len(a) < len(b)
 	}
 	return a < b
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request, legacy bool) {
-	s.mu.Lock()
-	runs := make([]*serverRun, 0, len(s.runs))
-	for _, run := range s.runs {
-		runs = append(runs, run)
-	}
-	s.mu.Unlock()
-	out := make([]RunStatus, 0, len(runs))
-	for _, run := range runs {
-		out = append(out, run.status(false))
-	}
-	if legacy {
-		sort.Slice(out, func(i, j int) bool { return runIDLess(out[i].ID, out[j].ID) })
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	writeJobPage(w, r, out, func(st RunStatus) string { return st.ID })
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	run, id := s.lookup(r)
-	if run == nil {
-		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "unknown run %q", id)
-		return
-	}
-	if r.URL.Query().Get("stream") != "" {
-		s.streamStatus(w, r, run)
-		return
-	}
-	if r.URL.Query().Get("canonical") != "" {
-		s.canonicalStatus(w, run)
-		return
-	}
-	writeJSON(w, http.StatusOK, run.status(r.URL.Query().Get("results") != ""))
-}
-
-// canonicalStatus serves a finished run's CanonicalRunJSON — the
-// byte-comparable form (wall times zeroed) used to verify that sharded,
-// resumed and local executions of the same spec agree exactly.
-func (s *Server) canonicalStatus(w http.ResponseWriter, run *serverRun) {
-	run.mu.Lock()
-	state := run.state
-	results := run.final
-	if results == nil {
-		results = append([]*Result{}, run.results...)
-	}
-	run.mu.Unlock()
-	if state == StateRunning {
-		writeErr(w, http.StatusConflict, ErrCodeConflict, "run %s is still running; canonical JSON exists only for finished runs", run.id)
-		return
-	}
-	raw, err := CanonicalRunJSON(results)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "internal", "canonicalise run %s: %v", run.id, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(raw)
-}
-
-// streamStatus serves NDJSON progress: one snapshot line, then an event
-// line per experiment start/finish, then an "end" line.  The snapshot
-// and the subscription are taken atomically, so each progress event
-// appears exactly once — either folded into the snapshot or streamed.
-// Encode errors (a client that went away mid-write) end the stream.
-func (s *Server) streamStatus(w http.ResponseWriter, r *http.Request, run *serverRun) {
-	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-
-	ch := make(chan event, 64)
-	snapshot, subscribed := run.subscribe(ch)
-
-	if err := enc.Encode(snapshot); err != nil {
-		if subscribed {
-			run.unsubscribe(ch)
-		}
-		return
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-	if !subscribed {
-		enc.Encode(event{Event: "end", State: snapshot.State, Completed: snapshot.Completed, Total: snapshot.Total})
-		return
-	}
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				return
-			}
-			if err := enc.Encode(ev); err != nil {
-				run.unsubscribe(ch)
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			if ev.Event == "end" {
-				return
-			}
-		case <-r.Context().Done():
-			run.unsubscribe(ch)
-			return
-		}
-	}
-}
-
-// handleCancel cancels a running run.  On a finished run it acts as a
-// removal: the run is deleted from the catalogue (the manual counterpart
-// of the retention sweep).
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	run, id := s.lookup(r)
-	if run == nil {
-		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "unknown run %q", id)
-		return
-	}
-	// Mark the cancellation as a user decision before it takes effect, so
-	// execute records it as terminal rather than resumable.
-	run.mu.Lock()
-	run.userCancelled = true
-	state := run.state
-	run.mu.Unlock()
-	run.cancel()
-	if state != StateRunning {
-		s.mu.Lock()
-		// Re-check under s.mu: a concurrent DELETE may have removed it.
-		if _, ok := s.runs[id]; ok {
-			delete(s.runs, id)
-			s.met.runsKept.Set(float64(len(s.runs)))
-			s.mu.Unlock()
-			s.met.runsSwept.Inc()
-			if s.store != nil {
-				if err := s.store.Delete(id); err != nil {
-					s.storeFailed("delete", err)
-				}
-			}
-		} else {
-			s.mu.Unlock()
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"id": run.id, "state": state, "deleted": true})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"id": run.id, "state": "cancelling"})
 }
 
 // --- Worker lease protocol (sharded execution backend) -------------------

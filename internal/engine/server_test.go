@@ -399,7 +399,7 @@ func TestDeleteFinishedRun(t *testing.T) {
 // a long-lived server does not accumulate them forever.
 func TestRetentionGC(t *testing.T) {
 	ts, _, _ := newTestServerOpts(t, ServerOptions{
-		Parallel: 2, Retain: 50 * time.Millisecond, SweepEvery: 20 * time.Millisecond,
+		Parallel: 2, Retain: 50 * time.Millisecond,
 	})
 	cl := testClient(ts)
 	id := postRun(t, ts, `{"experiments": ["fig4"], "short": true, "samples": 2, "seed": 3}`)
@@ -421,7 +421,7 @@ func TestRetentionGC(t *testing.T) {
 // still executing, however old it is.
 func TestGCKeepsRunningRuns(t *testing.T) {
 	ts, api, _ := newTestServerOpts(t, ServerOptions{
-		Parallel: 2, Retain: time.Nanosecond, SweepEvery: time.Hour,
+		Parallel: 2, Retain: time.Nanosecond,
 	})
 	id := postRun(t, ts, `{"experiments": ["txt1"], "seed": 3}`)
 	if n := api.gc(time.Now().Add(time.Hour)); n != 0 {

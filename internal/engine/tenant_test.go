@@ -172,7 +172,7 @@ func TestFairShareNoStarvation(t *testing.T) {
 func TestTenantQueueQuota(t *testing.T) {
 	ts, _, _ := newTestServerOpts(t, ServerOptions{
 		Parallel: 1,
-		Dispatch: DispatchOptions{LocalSlots: 1, TenantMaxQueued: 1, RetryAfter: time.Second},
+		Dispatch: DispatchOptions{LocalSlots: 1, TenantMaxQueued: 1},
 	})
 
 	// txt1 at full size pins the tenant's single quota slot for minutes.

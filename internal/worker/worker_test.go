@@ -288,7 +288,6 @@ func TestLeaseExpiryRequeue(t *testing.T) {
 	tsDist := newCoordinator(t, engine.DispatchOptions{
 		LocalSlots: -1,
 		LeaseTTL:   300 * time.Millisecond,
-		SweepEvery: 20 * time.Millisecond,
 	})
 	cl := client.New(tsDist.URL)
 
@@ -355,7 +354,6 @@ func TestWorkerLateUploadDropped(t *testing.T) {
 	tsDist := newCoordinator(t, engine.DispatchOptions{
 		LocalSlots: -1,
 		LeaseTTL:   100 * time.Millisecond,
-		SweepEvery: 10 * time.Millisecond,
 	})
 	cl := client.New(tsDist.URL)
 	sub, err := cl.SubmitRun(context.Background(), e2eSpec)
