@@ -197,11 +197,11 @@ func BenchmarkJITExtension(b *testing.B) { runExperiment(b, "ext-jit") }
 // structures (§6 future work).
 func BenchmarkC11Extension(b *testing.B) { runExperiment(b, "ext-c11") }
 
-// BenchmarkSim* are the simulator hot-path microbenchmarks shared with
-// cmd/wmmperf (internal/perfbench): raw cycle-loop throughput, the cost of
-// Machine.Reset, and a full workload sample through the machine cache.
-// The cycle-loop and reset bodies must stay at 0 allocs/op — wmmperf gates
-// allocation counts exactly against the checked-in BENCH_4.json baseline.
+// BenchmarkSim* are the simulator hot-path microbenchmarks of
+// internal/perfbench, shared with the repository benchmark's sim rung:
+// raw cycle-loop throughput, the cost of Machine.Reset, and a full
+// workload sample through the machine cache.  The cycle-loop and reset
+// bodies must stay at 0 allocs/op; perfbench's TestAllocs gates that.
 func BenchmarkSim(b *testing.B) {
 	for _, pb := range perfbench.Benchmarks(testing.Short()) {
 		b.Run(pb.Name, pb.Fn)

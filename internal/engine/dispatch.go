@@ -105,8 +105,8 @@ type Job struct {
 // one place that maps each kind to its executor.
 type Payload interface{ payload() }
 
-// ExperimentJob runs the experiment its Job names.  Only Samples, Seed,
-// Short and Adaptive reach the experiment; the run-level fields are
+// ExperimentJob runs the experiment its Job names.  Samples, Seed, Short
+// and Adaptive reach the experiment; Parallel, a run-level field, is
 // unused.
 type ExperimentJob RunOptions
 

@@ -115,12 +115,6 @@ type RunOptions struct {
 	// returned in request order and each experiment's output is
 	// buffered separately, so the bytes are identical for any value.
 	Parallel int
-	// Completed carries checkpointed results from a previous attempt of
-	// the same run (keyed by experiment name).  Experiments found here
-	// are restored verbatim — no execution, no Sink callbacks — which,
-	// combined with positional seed derivation, makes a resumed run's
-	// canonical JSON byte-identical to an uninterrupted one.
-	Completed map[string]*Result
 	// Adaptive, when non-nil, replaces the fixed sample count with the
 	// sequential stopping rule (see stats.StopRule): each measurement
 	// draws samples until its CI is tight enough.  Participates in the
@@ -200,12 +194,6 @@ func (e *Engine) Run(ctx context.Context, names []string, o RunOptions, sink Sin
 	sem := make(chan struct{}, parallel)
 	var wg sync.WaitGroup
 	for i, ex := range exps {
-		if prev, ok := o.Completed[ex.Name]; ok && prev != nil {
-			// Restored from a checkpoint: no execution, no sink events
-			// (the caller already accounted for it when it first ran).
-			results[i] = prev
-			continue
-		}
 		wg.Add(1)
 		go func(i int, ex experiments.Experiment) {
 			defer wg.Done()

@@ -170,6 +170,10 @@ func (c *Controller) NoteFenced() {
 	}
 }
 
+// ID reports this controller's lease owner identity: Options.ID, or the
+// <hostname>-<pid> default.
+func (c *Controller) ID() string { return c.id }
+
 // Role reports "standby" or "leader".
 func (c *Controller) Role() string {
 	c.mu.Lock()

@@ -9,6 +9,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -305,6 +306,50 @@ func TestHAOptionValidation(t *testing.T) {
 	}
 	if c.Role() != RoleStandby {
 		t.Fatalf("fresh controller role = %s", c.Role())
+	}
+}
+
+// TestHADefaultIDOwnsLease: without Options.ID the controller's identity
+// is <hostname>-<pid>, and ID reports the owner the lease records, so
+// logs name a node that appears in the lease file.
+func TestHADefaultIDOwnsLease(t *testing.T) {
+	store, err := runstore.OpenSegment(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	var promotions atomic.Int32
+	c, err := New(Options{
+		Store:     store,
+		TTL:       250 * time.Millisecond,
+		Poll:      20 * time.Millisecond,
+		OnPromote: fakeAPI("default", &promotions),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, _ := os.Hostname()
+	if host == "" {
+		host = "wmmd"
+	}
+	if want := fmt.Sprintf("%s-%d", host, os.Getpid()); c.ID() != want {
+		t.Fatalf("default ID() = %q, want %q", c.ID(), want)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- c.Run(ctx) }()
+	waitRole(t, c, RoleLeader, 10*time.Second)
+	lease, ok, err := store.ReadLease()
+	if err != nil || !ok {
+		t.Fatalf("lease after promotion: ok=%v err=%v", ok, err)
+	}
+	if lease.Owner != c.ID() {
+		t.Fatalf("lease owner = %q, ID() = %q", lease.Owner, c.ID())
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("Run after cancel = %v, want nil", err)
 	}
 }
 

@@ -1,11 +1,12 @@
-// Package perfbench holds the simulator performance benchmarks shared by
-// the `go test -bench BenchmarkSim` harness (bench_test.go) and the
-// cmd/wmmperf regression tool.  One definition serves both so the numbers
-// CI gates on are the numbers developers reproduce locally.
+// Package perfbench holds the simulator performance benchmark bodies
+// shared by the `go test -bench BenchmarkSim` harness (bench_test.go), the
+// repository benchmark's sim rung (wmmladder) and this package's
+// allocation test.  Each body is one setup plus a per-iteration step: Fn
+// times the step and TestAllocs counts its allocations, so the code the
+// tier-1 test gates is the code the ladder measures.
 package perfbench
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/arch"
@@ -21,6 +22,40 @@ type Bench struct {
 	// Cycles is the simulated cycle count per iteration for bodies that
 	// drive the raw cycle loop; zero for sample-level bodies.
 	Cycles int64
+
+	setup setupFunc
+}
+
+// setupFunc builds a body's state and returns its per-iteration step; the
+// step's argument is the iteration index.
+type setupFunc func() (step func(i int) error, err error)
+
+// timed is the b.N loop around a body's step.  warm runs one untimed step
+// first, so reusable buffers (store buffers, propagation heaps, result
+// storage) reach their steady capacity before the timer starts.
+func timed(setup setupFunc, warm bool, cycles int64) func(b *testing.B) {
+	return func(b *testing.B) {
+		step, err := setup()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if warm {
+			if err := step(0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := step(i); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if cycles > 0 {
+			b.StopTimer()
+			b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
+		}
+	}
 }
 
 // steadyProg builds the per-core program used by the cycle-loop
@@ -47,79 +82,62 @@ func steadyProg(prof *arch.Profile, core int) arch.Program {
 	return b.MustBuild()
 }
 
+func newMachine(prof *arch.Profile) (*sim.Machine, error) {
+	return sim.New(prof, sim.Config{Cores: 4, MemWords: 1 << 12, Seed: 1})
+}
+
 // simCycles measures raw simulation throughput: cycles simulated per
 // wall-clock second on a 4-core machine, reusing one machine via Reset.
 // Steady state allocates nothing per iteration.
-func simCycles(prof *arch.Profile, cycles int64) func(b *testing.B) {
-	return func(b *testing.B) {
-		m, err := sim.New(prof, sim.Config{Cores: 4, MemWords: 1 << 12, Seed: 1})
+func simCycles(prof *arch.Profile, cycles int64) setupFunc {
+	return func() (func(int) error, error) {
+		m, err := newMachine(prof)
 		if err != nil {
-			b.Fatal(err)
+			return nil, err
 		}
 		progs := make([]arch.Program, 4)
 		for c := range progs {
 			progs[c] = steadyProg(prof, c)
 		}
-		// One warm run lets the reusable buffers (store buffers, propagation
-		// heaps, result storage) reach their steady capacity, so the timed
-		// region measures the true 0 allocs/op steady state.
-		m.Reset(0)
-		for c, p := range progs {
-			if err := m.LoadProgram(c, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := m.Run(cycles); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		return func(i int) error {
 			m.Reset(int64(i) + 1)
 			for c, p := range progs {
 				if err := m.LoadProgram(c, p); err != nil {
-					b.Fatal(err)
+					return err
 				}
 			}
-			if _, err := m.Run(cycles); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
+			_, err := m.Run(cycles)
+			return err
+		}, nil
 	}
 }
 
 // simReset measures Machine.Reset alone: the fixed per-sample overhead of
 // machine reuse.  Allocates nothing.
-func simReset(prof *arch.Profile) func(b *testing.B) {
-	return func(b *testing.B) {
-		m, err := sim.New(prof, sim.Config{Cores: 4, MemWords: 1 << 12, Seed: 1})
+func simReset(prof *arch.Profile) setupFunc {
+	return func() (func(int) error, error) {
+		m, err := newMachine(prof)
 		if err != nil {
-			b.Fatal(err)
+			return nil, err
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		return func(i int) error {
 			m.Reset(int64(i) + 1)
-		}
+			return nil
+		}, nil
 	}
 }
 
 // simSample measures one full benchmark sample through the workload layer
 // with a MachineCache, i.e. ns/sample as the experiment drivers see it.
-func simSample(prof *arch.Profile) func(b *testing.B) {
-	return func(b *testing.B) {
+func simSample(prof *arch.Profile) setupFunc {
+	return func() (func(int) error, error) {
 		bench := javabench.Spark()
 		env := workload.DefaultEnv(prof)
 		mc := workload.NewMachineCache()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := workload.RunWith(mc, bench, env, workload.SampleSeed(1, i)); err != nil {
-				b.Fatal(err)
-			}
-		}
+		return func(i int) error {
+			_, err := workload.RunWith(mc, bench, env, workload.SampleSeed(1, i))
+			return err
+		}, nil
 	}
 }
 
@@ -132,82 +150,12 @@ func Benchmarks(short bool) []Bench {
 	}
 	var out []Bench
 	for _, prof := range []*arch.Profile{arch.ARMv8(), arch.POWER7()} {
+		cyc, reset, sample := simCycles(prof, cycles), simReset(prof), simSample(prof)
 		out = append(out,
-			Bench{Name: "SimCycles/" + prof.Name, Fn: simCycles(prof, cycles), Cycles: cycles},
-			Bench{Name: "SimReset/" + prof.Name, Fn: simReset(prof)},
-			Bench{Name: "SimSample/" + prof.Name, Fn: simSample(prof)},
+			Bench{Name: "SimCycles/" + prof.Name, Fn: timed(cyc, true, cycles), Cycles: cycles, setup: cyc},
+			Bench{Name: "SimReset/" + prof.Name, Fn: timed(reset, false, 0), setup: reset},
+			Bench{Name: "SimSample/" + prof.Name, Fn: timed(sample, false, 0), setup: sample},
 		)
 	}
 	return out
-}
-
-// Result is one benchmark measurement in the BENCH_*.json schema.
-type Result struct {
-	Name         string  `json:"name"`
-	NsPerOp      float64 `json:"ns_per_op"`
-	AllocsPerOp  float64 `json:"allocs_per_op"`
-	BytesPerOp   float64 `json:"bytes_per_op"`
-	CyclesPerSec float64 `json:"cycles_per_sec,omitempty"`
-}
-
-// Report is the BENCH_*.json document: the microbenchmark suite plus an
-// optional end-to-end wall-time measurement of `wmmbench -short all` and
-// an optional repeated-sweep cache-effectiveness measurement.
-type Report struct {
-	GoOS            string       `json:"goos"`
-	GoArch          string       `json:"goarch"`
-	Short           bool         `json:"short"`
-	ShortAllSeconds float64      `json:"short_all_seconds,omitempty"`
-	RepeatedSweep   *SweepReport `json:"repeated_sweep,omitempty"`
-	Results         []Result     `json:"results"`
-}
-
-// Run executes the suite via testing.Benchmark and collects Results.
-func Run(short bool, logf func(format string, args ...any)) []Result {
-	var out []Result
-	for _, pb := range Benchmarks(short) {
-		r := testing.Benchmark(pb.Fn)
-		res := Result{
-			Name:        pb.Name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: float64(r.AllocsPerOp()),
-			BytesPerOp:  float64(r.AllocedBytesPerOp()),
-		}
-		if pb.Cycles > 0 {
-			res.CyclesPerSec = float64(pb.Cycles) * float64(r.N) / r.T.Seconds()
-		}
-		if logf != nil {
-			logf("%-20s %12.0f ns/op %8.0f allocs/op %14.0f cycles/sec\n",
-				pb.Name, res.NsPerOp, res.AllocsPerOp, res.CyclesPerSec)
-		}
-		out = append(out, res)
-	}
-	return out
-}
-
-// Compare checks cur against base with a relative tolerance on ns/op (CI
-// hosts are noisy; tol is typically 0.20) and an exact gate on allocs/op
-// (allocation counts are deterministic, so any growth is a regression).
-// It returns one message per violation.
-func Compare(base, cur []Result, tol float64) []string {
-	byName := make(map[string]Result, len(base))
-	for _, r := range base {
-		byName[r.Name] = r
-	}
-	var bad []string
-	for _, c := range cur {
-		b, ok := byName[c.Name]
-		if !ok {
-			continue
-		}
-		if b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*(1+tol) {
-			bad = append(bad, fmt.Sprintf("%s: ns/op %.0f exceeds baseline %.0f by more than %.0f%%",
-				c.Name, c.NsPerOp, b.NsPerOp, tol*100))
-		}
-		if c.AllocsPerOp > b.AllocsPerOp {
-			bad = append(bad, fmt.Sprintf("%s: allocs/op %.0f exceeds baseline %.0f",
-				c.Name, c.AllocsPerOp, b.AllocsPerOp))
-		}
-	}
-	return bad
 }

@@ -343,7 +343,7 @@ func (s *SegmentStore) Compact() error {
 func (s *SegmentStore) compactLocked() error {
 	fold := newRecordFold()
 	for _, name := range s.man.Sealed {
-		if err := foldFile(filepath.Join(s.dir, name), fold); err != nil {
+		if err := foldFile(filepath.Join(s.dir, name), "", fold); err != nil {
 			return fmt.Errorf("runstore: compact read %s: %w", name, err)
 		}
 	}
@@ -477,14 +477,11 @@ func (s *SegmentStore) Load() ([]*RunRecord, error) {
 		names = append(names, s.activeName)
 	}
 	for _, name := range names {
-		if err := foldFile(filepath.Join(s.dir, name), fold); err != nil {
+		if err := foldFile(filepath.Join(s.dir, name), "", fold); err != nil {
 			return nil, fmt.Errorf("runstore: replay %s: %w", name, err)
 		}
 	}
-	runs := make([]*RunRecord, 0, len(fold.order))
-	for _, id := range fold.order {
-		runs = append(runs, fold.runs[id])
-	}
+	runs := fold.list()
 	sortRuns(runs)
 	return runs, nil
 }
@@ -515,6 +512,15 @@ type recordFold struct {
 
 func newRecordFold() *recordFold {
 	return &recordFold{runs: map[string]*RunRecord{}}
+}
+
+// list returns the live runs in first-spec order.
+func (f *recordFold) list() []*RunRecord {
+	runs := make([]*RunRecord, 0, len(f.order))
+	for _, id := range f.order {
+		runs = append(runs, f.runs[id])
+	}
+	return runs
 }
 
 // apply folds one record; records are self-describing via ID.
@@ -568,10 +574,11 @@ func (f *recordFold) apply(rec Record) {
 	}
 }
 
-// foldFile replays one segment file into the fold.  Unparseable lines —
-// the torn tail of a crashed write — are skipped, same as the JSONL
-// backend: the fsynced prefix is always a consistent state.
-func foldFile(path string, fold *recordFold) error {
+// foldFile replays one record file into the fold, giving records that
+// carry no ID the ID defaultID (a JSONL run file's experiment, assign
+// and end records).  Unparseable lines — the torn tail of a crashed
+// write — are skipped: the fsynced prefix is always a consistent state.
+func foldFile(path, defaultID string, fold *recordFold) error {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -590,6 +597,9 @@ func foldFile(path string, fold *recordFold) error {
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
 			continue
+		}
+		if rec.ID == "" {
+			rec.ID = defaultID
 		}
 		fold.apply(rec)
 	}

@@ -23,8 +23,6 @@
 package runstore
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -237,8 +235,10 @@ func (s *Store) CachePut(key string, data []byte) error {
 }
 
 // Load replays every run file in the store, in run-ID order (run-2
-// before run-10).  Unparseable records — the torn tail of a crashed
-// write — are skipped; files without a spec record are ignored entirely.
+// before run-10), through the segment backend's fold.  Only spec records
+// carry an ID on disk; the others take the file's.  Unparseable records —
+// the torn tail of a crashed write — are skipped; files without a spec
+// record, and files that cannot be read, are ignored entirely.
 func (s *Store) Load() ([]*RunRecord, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -247,76 +247,18 @@ func (s *Store) Load() ([]*RunRecord, error) {
 	var runs []*RunRecord
 	for _, ent := range entries {
 		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".jsonl") {
+		id, ok := strings.CutSuffix(name, ".jsonl")
+		if ent.IsDir() || !ok {
 			continue
 		}
-		rec, err := s.loadOne(filepath.Join(s.dir, name))
-		if err != nil || rec == nil {
+		fold := newRecordFold()
+		if err := foldFile(filepath.Join(s.dir, name), id, fold); err != nil {
 			continue
 		}
-		runs = append(runs, rec)
+		runs = append(runs, fold.list()...)
 	}
 	sortRuns(runs)
 	return runs, nil
-}
-
-// loadOne folds one record file into a RunRecord (nil if it holds no
-// spec record).
-func (s *Store) loadOne(path string) (*RunRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var run *RunRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // results can be large
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			continue // torn write; the durable prefix stands
-		}
-		switch rec.Rec {
-		case "spec":
-			if run == nil {
-				run = &RunRecord{ID: rec.ID, Started: rec.Time, Spec: rec.Spec}
-			}
-		case "experiment":
-			if run == nil || rec.Name == "" {
-				continue
-			}
-			replaced := false
-			for i := range run.Experiments {
-				if run.Experiments[i].Name == rec.Name {
-					run.Experiments[i].Result = rec.Result
-					replaced = true
-					break
-				}
-			}
-			if !replaced {
-				run.Experiments = append(run.Experiments, ExperimentRecord{Name: rec.Name, Result: rec.Result})
-			}
-		case "assign":
-			if run == nil || rec.Name == "" {
-				continue
-			}
-			run.Assignments = append(run.Assignments, AssignRecord{Name: rec.Name, Worker: rec.Worker, Time: rec.Time})
-		case "end":
-			if run != nil {
-				run.EndState = rec.State
-				run.EndError = rec.Error
-				run.Finished = rec.Time
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return run, nil
 }
 
 // MaxSeq scans the store for the highest "run-N" identifier, so a
